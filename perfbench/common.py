@@ -45,7 +45,9 @@ class Record:
     ``due`` is when an open-loop request was scheduled to go out (equal
     to ``sent`` in a closed loop); latency is measured from it.  ``spans``
     holds the benchmark's own timers (seconds) around calls into the
-    program, keyed by layer name.
+    program, keyed by layer name.  ``scale`` converts the latency to the
+    reference host speed where a workload measures it (see
+    ``hostspeed.py``); it stays 1 elsewhere.
     """
 
     index: int
@@ -57,6 +59,7 @@ class Record:
     frame: dict | None = None
     error: str | None = None
     answers: int = 0
+    scale: float = 1.0
     spans: dict[str, float] = field(default_factory=dict)
     tags: dict[str, Any] = field(default_factory=dict)
 
@@ -67,6 +70,10 @@ class Record:
     @property
     def latency(self) -> float:
         return self.done - self.due
+
+    @property
+    def scaled_latency(self) -> float:
+        return self.latency * self.scale
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -94,8 +101,8 @@ def mean(values: Iterable[float]) -> float:
 
 
 def latencies(records: Sequence[Record]) -> list[float]:
-    """Latencies of a window; a failed request counts as missing every limit."""
-    return [r.latency if r.ok else math.inf for r in records]
+    """Scaled latencies of a window; a failed request counts as missing every limit."""
+    return [r.scaled_latency if r.ok else math.inf for r in records]
 
 
 def own_peak_rss_mb() -> float:
@@ -150,10 +157,11 @@ def load_summary(
 ) -> dict[str, float]:
     """Throughput, latency percentiles, goodput and success of a window.
 
-    Percentiles are over answered requests; a failed one never counts
-    towards the goodput (it misses the SLO) and lowers ``success_rate``.
+    Percentiles are over answered requests' scaled latencies; a failed
+    one never counts towards the goodput (it misses the SLO) and lowers
+    ``success_rate``.
     """
-    answered = [r.latency for r in records if r.ok]
+    answered = [r.scaled_latency for r in records if r.ok]
     within = sum(1 for value in latencies(records) if value <= SLO_S)
     return {
         "throughput_rps": len(answered) / elapsed_s,
@@ -183,11 +191,16 @@ def sliced_summary(
 ) -> dict[str, float]:
     """Median over *slices* of each :func:`load_summary` figure.
 
+    A slice's width is scaled like its requests' latencies.
     ``success_rate`` is pooled over the whole window: one failure must
     count wherever it falls.  The pooled latency percentiles and the
     sample count are printed for reference.
     """
-    per_slice = [load_summary(group, width) for group, width in slices if group]
+    per_slice = [
+        load_summary(group, width * median(r.scale for r in group))
+        for group, width in slices
+        if group
+    ]
     summary = {key: median(s[key] for s in per_slice) for key in per_slice[0]}
     pooled = load_summary(records, 1.0)
     summary["success_rate"] = pooled["success_rate"]

@@ -150,7 +150,7 @@ def breakdown(
     )
     service = service or {}
     router = router or {}
-    traced_p50 = median(r.latency for r in answered)
+    traced_p50 = median(r.scaled_latency for r in answered)
     return {
         "scenarios.build_soc_ms": ms(span(r, "build_soc") for r in replayed_solves),
         "scenarios.share": share(sum(server_soc(r) for r in replayed), replayed_latency),

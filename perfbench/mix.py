@@ -51,15 +51,24 @@ def warm_requests() -> list[ScheduleRequest]:
 # -- paper-sweep -----------------------------------------------------------------------
 
 
-def paper_sweep_deck(seed: int, toy: bool = False) -> list[ScheduleRequest]:
-    """One round of the paper-sweep mix, shuffled.
+#: Rounds of the paper-sweep mix drawn per seed; the closed loop cycles
+#: through them, so the seed's grid costs average over this many power maps.
+SWEEP_ROUNDS = 4
 
-    alpha15 over the Table 1 grid, tight 8x8 and 16x16 grid requests,
-    and a ``power_constrained`` solve of every system (the paper's
-    baseline).  The counts give each size a similar share of wall time
-    on a 2-vCPU box; the closed loop repeats whole rounds.
+
+def paper_sweep_rounds(seed: int, toy: bool = False) -> list[list[ScheduleRequest]]:
+    """The rounds of the paper-sweep mix, each shuffled.
+
+    Every round holds alpha15 over the Table 1 grid, tight 8x8 and 16x16
+    grid requests on power maps of its own, and a ``power_constrained``
+    solve of every system (the paper's baseline).  The counts give each
+    size a similar share of wall time on a 2-vCPU box.
     """
     rng = _rng(seed, 1)
+    return [_sweep_round(rng, toy) for _ in range(2 if toy else SWEEP_ROUNDS)]
+
+
+def _sweep_round(rng: np.random.Generator, toy: bool) -> list[ScheduleRequest]:
     tls, stcls = (TABLE1_TL_C[::4], TABLE1_STCL[::4]) if toy else (TABLE1_TL_C, TABLE1_STCL)
     deck = [
         ScheduleRequest(soc="alpha15", tl_c=float(tl), stcl=float(stcl))
@@ -176,19 +185,36 @@ CHURN_SHAPES = (
 )
 
 
+#: Draws of each fleet-churn shape after which its limits and cooling
+#: have covered every tenth of their ranges once.
+CHURN_STRATA = 10
+
+
+def _strata(rng: np.random.Generator, low: float, high: float) -> Iterator[float]:
+    """Endless draws from ``[low, high)``; each run of :data:`CHURN_STRATA`
+    has one draw in every equal slice."""
+    while True:
+        yield from _stratified(rng, low, high, CHURN_STRATA)
+
+
 def churn_requests(rng: np.random.Generator) -> Iterator[ScheduleRequest]:
     """Endless requests on thermal networks no shard has seen.
 
     Slicing floorplans get a fresh geometry seed, grids a fresh cooling
     resistance, so every one is a model-cache miss.  Shapes come in
-    shuffled blocks of :data:`CHURN_SHAPES` and limits are stratified
-    per block, so every seed asks for the same mix of sizes.
+    shuffled blocks of :data:`CHURN_SHAPES`, and each shape's limits and
+    cooling are stratified over its own draws, so every seed asks for
+    the same mix of sizes and of tight and loose limits on each.
     """
-    n = len(CHURN_SHAPES)
+    draws = [
+        (_strata(rng, 3.5, 6.0), _strata(rng, 6.0, 15.0), _strata(rng, 0.3, 0.7))
+        for _ in CHURN_SHAPES
+    ]
     while True:
-        limits = zip(_stratified(rng, 3.5, 6.0, n), _stratified(rng, 6.0, 15.0, n))
-        for shape, (tl, stcl) in zip(rng.permutation(n), limits):
+        for shape in rng.permutation(len(CHURN_SHAPES)):
             kind, size = CHURN_SHAPES[shape]
+            tl_draws, stcl_draws, cooling_draws = draws[shape]
+            tl, stcl, cooling = next(tl_draws), next(stcl_draws), next(cooling_draws)
             if kind == "slicing":
                 scenario = ScenarioSpec(
                     kind="slicing",
@@ -198,9 +224,7 @@ def churn_requests(rng: np.random.Generator) -> Iterator[ScheduleRequest]:
                 )
             else:
                 scenario = grid(
-                    size,
-                    _power_seed(rng),
-                    convection_resistance=round(float(rng.uniform(0.3, 0.7)), 9),
+                    size, _power_seed(rng), convection_resistance=round(cooling, 9)
                 )
             yield ScheduleRequest(scenario=scenario, tl_headroom=tl, stcl_headroom=stcl)
 

@@ -105,6 +105,7 @@ def metadata(args: argparse.Namespace) -> dict:
     import scipy
 
     from common import SLO_S
+    from hostspeed import REFERENCE_S
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     lines, digest = _src_digest()
@@ -115,6 +116,7 @@ def metadata(args: argparse.Namespace) -> dict:
         "seconds": args.seconds,
         "trace": args.trace,
         "slo_ms": SLO_S * 1e3,
+        "probe_reference_ms": REFERENCE_S * 1e3,
         "git_sha": _git_sha(),
         "src_sha256": digest,
         "src_lines": lines,

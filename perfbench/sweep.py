@@ -1,9 +1,11 @@
 """paper-sweep: the paper's own use, in process.
 
-A closed loop with one caller pushes whole rounds of the seeded deck
-(alpha15 over Table 1, tight 8x8 and 16x16 grids, and the
+A closed loop with one caller cycles through the seed's rounds (each
+alpha15 over Table 1, tight 8x8 and 16x16 grids, and the
 power-constrained baseline of each system) through one
-:class:`~repro.api.Workbench` until the run's seconds are up.
+:class:`~repro.api.Workbench` until the run's seconds are up.  Its
+timings are scaled to the reference host speed by the probe timed
+before every call (``hostspeed.py``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from repro.api import Workbench
 from repro.errors import ReproError
 
 import gate
+import hostspeed
 import layers
-from common import Record, median, own_peak_rss_mb, quality, sessions_of, sliced_summary
+from common import Record, load_summary, median, own_peak_rss_mb, quality, sessions_of
 from ledger import breakdown
-from mix import paper_sweep_deck, warm_requests
+from mix import paper_sweep_rounds, warm_requests
 
 PROBE = Path(__file__).resolve().parent / "probe_setup.py"
 
@@ -36,26 +39,28 @@ def setup_seconds(repeats: int) -> float:
     return median(times)
 
 
-def window(bench: Workbench, deck, seconds: float) -> list[tuple[list[Record], float]]:
-    """Solve whole rounds of *deck* until *seconds* have passed.
+def window(bench: Workbench, rounds, seconds: float) -> list[Record]:
+    """Solve the seed's *rounds* in turn until *seconds* have passed.
 
-    Returns every round's records with its wall time; each round is one
-    slice of the window.  A later round's report that schedules exactly
-    like the first round's answer to the same request is replaced by
-    that answer, so the benchmark's own memory stays flat while the
-    gate still sees every distinct schedule.
+    Every round runs whole, and every round at least once.  The
+    host-speed probe runs before every call and once after the last,
+    outside the timed spans, and sets each record's ``scale``.  A later
+    pass's report that schedules exactly like the first pass's answer to
+    the same request is replaced by that answer, so the benchmark's own
+    memory stays flat while the gate still sees every distinct schedule.
     """
-    rounds: list[tuple[list[Record], float]] = []
-    first: dict[int, Any] = {}
+    records: list[Record] = []
+    samples: list[tuple[float, float]] = []
+    first: dict[tuple[int, int], Any] = {}
     start = previous = time.perf_counter()
-    index = 0
-    while not rounds or time.perf_counter() - start < seconds:
-        records = []
-        round_start = time.perf_counter()
-        for position, request in enumerate(deck):
+    done = 0
+    while done < len(rounds) or time.perf_counter() - start < seconds:
+        which = done % len(rounds)
+        for position, request in enumerate(rounds[which]):
+            took = hostspeed.probe()
             sent = time.perf_counter()
-            record = Record(index=index, request=request, due=sent, sent=sent)
-            index += 1
+            samples.append((sent, took))
+            record = Record(index=len(records), request=request, due=sent, sent=sent)
             try:
                 record.report = bench.solve(request)
             except ReproError as exc:
@@ -63,40 +68,48 @@ def window(bench: Workbench, deck, seconds: float) -> list[tuple[list[Record], f
             record.done = time.perf_counter()
             record.answers = 1
             record.spans["wall"] = record.done - sent
-            record.spans["gap"] = sent - previous
-            earlier = first.setdefault(position, record.report)
+            record.spans["gap"] = sent - previous - took
+            earlier = first.setdefault((which, position), record.report)
             if earlier is not None and sessions_of(earlier) == sessions_of(record.report):
                 record.report = earlier
             previous = time.perf_counter()
             records.append(record)
-        rounds.append((records, time.perf_counter() - round_start))
-    return rounds
+        done += 1
+    samples.append((time.perf_counter(), hostspeed.probe()))
+    hostspeed.scale(records, samples)
+    print(
+        f"{len(records)} requests in {done} rounds; median probe "
+        f"{median(p for _, p in samples) * 1e3:.3f} ms "
+        f"(reference {hostspeed.REFERENCE_S * 1e3:.3f} ms); "
+        f"unscaled p50 {median(r.latency for r in records) * 1e3:.1f} ms"
+    )
+    return records
 
 
 def run(seed: int, seconds: float, trace: bool, toy: bool) -> tuple[dict, list[Record]]:
-    setup = None if trace else setup_seconds(1 if toy else 3)
+    setup = None if trace else setup_seconds(1 if toy else 5)
     bench = Workbench()
     for request in warm_requests():
         bench.solve(request)
-    deck = paper_sweep_deck(seed, toy)
+    rounds = paper_sweep_rounds(seed, toy)
     if not trace:
-        rounds = window(bench, deck, seconds)
+        records = window(bench, rounds, seconds)
         rss = own_peak_rss_mb()
-        records = [r for group, _ in rounds for r in group]
         gate.check(records)
-        summary = sliced_summary(records, rounds)
+        # One caller: the window's time is the scaled time spent in solve.
+        summary = load_summary(records, sum(r.scaled_latency for r in records))
         metrics = {
             **summary,
             "slo_rps": summary["goodput_rps"],
-            **quality(r.report for r in rounds[0][0]),
+            **quality(r.report for r in records[: sum(map(len, rounds))]),
             "rss_peak_mb": rss,
             "setup_s": setup,
         }
         return metrics, records
 
-    untraced = [r for group, _ in window(bench, deck, seconds / 2) for r in group]
+    untraced = window(bench, rounds, seconds / 2)
     before = bench.cache.stats
-    records = [r for group, _ in window(bench, deck, seconds) for r in group]
+    records = window(bench, rounds, seconds)
     after = bench.cache.stats
     gate.check(records)
     layers.replay_window(records)
@@ -107,6 +120,6 @@ def run(seed: int, seconds: float, trace: bool, toy: bool) -> tuple[dict, list[R
             "hits": after.hits - before.hits,
             "misses": after.misses - before.misses,
         },
-        untraced_p50_s=median(r.latency for r in untraced),
+        untraced_p50_s=median(r.scaled_latency for r in untraced),
     )
     return metrics, records

@@ -4,7 +4,9 @@ Requests go out over at most two :class:`AsyncServiceClient`
 connections; no extra threads.  The untraced path is the client's
 default ``submit()`` (decode included); the traced path makes the same
 work visible as ``submit(decode=False)`` followed by
-``report_from_dict``, timing each.
+``report_from_dict``, timing each.  The closed loop times the host-speed
+probe on every CPU as it goes and scales each request by it
+(``hostspeed.py``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ from repro.api.request import report_from_dict
 from repro.errors import ReproError
 from repro.service.client import AsyncServiceClient
 
+import hostspeed
 from common import Record
 
 #: A request still unanswered this long after the window is lost.
 ANSWER_TIMEOUT_S = 60.0
+#: The closed loop probes the host this often (seconds).
+PROBE_INTERVAL_S = 0.1
+
+
+def _probe(samples: list[tuple[float, float]]) -> None:
+    samples.append((time.perf_counter(), hostspeed.probe_cpus()))
 
 
 async def connect(port: int) -> AsyncServiceClient:
@@ -87,11 +96,21 @@ async def closed_loop(
     seconds: float,
     traced: bool,
 ) -> list[Record]:
-    """Keep *depth* requests in flight until *seconds* have passed."""
+    """Keep *depth* requests in flight until *seconds* have passed.
+
+    The host is probed every :data:`PROBE_INTERVAL_S` while the window
+    lasts, and once more after the last answer.
+    """
     start = time.perf_counter()
     deadline = start + seconds
     records: list[Record] = []
+    samples: list[tuple[float, float]] = []
     cursor = iter(range(len(items)))
+
+    async def prober() -> None:
+        while time.perf_counter() < deadline:
+            _probe(samples)
+            await asyncio.sleep(PROBE_INTERVAL_S)
 
     async def caller(slot: int) -> None:
         client = clients[slot % len(clients)]
@@ -109,8 +128,11 @@ async def closed_loop(
             previous = record.done
 
     await _settle(
-        [asyncio.ensure_future(caller(slot)) for slot in range(depth)],
+        [asyncio.ensure_future(caller(slot)) for slot in range(depth)]
+        + [asyncio.ensure_future(prober())],
         seconds + ANSWER_TIMEOUT_S,
     )
+    _probe(samples)
     records.sort(key=lambda r: r.index)
+    hostspeed.scale(records, samples)
     return records
