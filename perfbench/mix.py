@@ -119,26 +119,33 @@ SERVE_GRIDS = ((16, 0.075), (8, 0.125))
 
 
 def serve_requests(rng: np.random.Generator, count: int) -> list[ScheduleRequest]:
-    """*count* distinct loose requests: 7.5% 16x16, 12.5% 8x8, the rest alpha15.
+    """*count* distinct loose requests in arrival order: 7.5% 16x16,
+    12.5% 8x8, the rest alpha15.
 
-    Shares are exact and limits stratified over their ranges, so every
-    seed asks for the same mix.  Grids get fresh power seeds (the model
+    Shares are exact, limits stratified over their ranges, and each grid
+    size spread through the order (one request at a random place in each
+    equal block of it), so every seed asks for the same mix and none
+    bunches its heavy requests.  Grids get fresh power seeds (the model
     cache hits, the answer cache never does); loose limits commit a grid
     in about two sessions.
     """
-    requests = []
+    order: list[ScheduleRequest | None] = [None] * count
     for n, share in SERVE_GRIDS:
         k = round(share * count)
-        requests += [
-            ScheduleRequest(scenario=grid(n, _power_seed(rng)), tl_headroom=tl, stcl_headroom=stcl)
-            for tl, stcl in zip(_stratified(rng, 8.0, 12.0, k), _stratified(rng, 20.0, 40.0, k))
-        ]
-    k = count - len(requests)
-    requests += [
-        ScheduleRequest(soc="alpha15", tl_c=tl, stcl=stcl)
-        for tl, stcl in zip(_stratified(rng, 165.0, 185.0, k), _stratified(rng, 20.0, 40.0, k))
-    ]
-    return [requests[i] for i in rng.permutation(count)]
+        limits = zip(_stratified(rng, 8.0, 12.0, k), _stratified(rng, 20.0, 40.0, k))
+        for j, (tl, stcl) in enumerate(limits):
+            block = range(j * count // k, (j + 1) * count // k)
+            place = rng.choice([i for i in block if order[i] is None])
+            order[place] = ScheduleRequest(
+                scenario=grid(n, _power_seed(rng)), tl_headroom=tl, stcl_headroom=stcl
+            )
+    free = [i for i, request in enumerate(order) if request is None]
+    limits = zip(
+        _stratified(rng, 165.0, 185.0, len(free)), _stratified(rng, 20.0, 40.0, len(free))
+    )
+    for i, (tl, stcl) in zip(free, limits):
+        order[i] = ScheduleRequest(soc="alpha15", tl_c=tl, stcl=stcl)
+    return order
 
 
 def serve_poisson_ladder(
