@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.api import Workbench
 from repro.errors import ReproError
@@ -28,18 +28,23 @@ from mix import paper_sweep_rounds, warm_requests
 
 PROBE = Path(__file__).resolve().parent / "probe_setup.py"
 
-
-def setup_seconds(repeats: int) -> float:
-    """Median time to ready: interpreter start, import, workbench, warm solves."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, str(PROBE)], check=True, timeout=120)
-        times.append(time.perf_counter() - start)
-    return median(times)
+#: Set-ups timed per untraced run, spread evenly through its window.
+SETUPS = 5
 
 
-def window(bench: Workbench, rounds, seconds: float) -> list[Record]:
+def setup_once() -> float:
+    """Time to ready: interpreter start, import, workbench, warm solves."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(PROBE)], check=True, timeout=120)
+    return time.perf_counter() - start
+
+
+def window(
+    bench: Workbench,
+    rounds,
+    seconds: float,
+    between: Callable[[float], None] | None = None,
+) -> list[Record]:
     """Solve the seed's *rounds* in turn until *seconds* have passed.
 
     Every round runs whole, and every round at least once.  The
@@ -48,13 +53,21 @@ def window(bench: Workbench, rounds, seconds: float) -> list[Record]:
     pass's report that schedules exactly like the first pass's answer to
     the same request is replaced by that answer, so the benchmark's own
     memory stays flat while the gate still sees every distinct schedule.
+    *between*, if given, is called before each round with the window's
+    seconds so far; its own time does not count towards them.
     """
     records: list[Record] = []
     samples: list[tuple[float, float]] = []
     first: dict[tuple[int, int], Any] = {}
-    start = previous = time.perf_counter()
+    start = time.perf_counter()
+    paused = 0.0
     done = 0
-    while done < len(rounds) or time.perf_counter() - start < seconds:
+    while done < len(rounds) or time.perf_counter() - start - paused < seconds:
+        if between is not None:
+            begun = time.perf_counter()
+            between(begun - start - paused)
+            paused += time.perf_counter() - begun
+        previous = time.perf_counter()
         which = done % len(rounds)
         for position, request in enumerate(rounds[which]):
             took = hostspeed.probe()
@@ -87,13 +100,21 @@ def window(bench: Workbench, rounds, seconds: float) -> list[Record]:
 
 
 def run(seed: int, seconds: float, trace: bool, toy: bool) -> tuple[dict, list[Record]]:
-    setup = None if trace else setup_seconds(1 if toy else 5)
     bench = Workbench()
     for request in warm_requests():
         bench.solve(request)
     rounds = paper_sweep_rounds(seed, toy)
     if not trace:
-        records = window(bench, rounds, seconds)
+        # Set-ups spread through the window sample the host's speed
+        # regimes as the solves do, rather than the few seconds before.
+        setups: list[float] = []
+        wanted = 1 if toy else SETUPS
+
+        def set_up_when_due(elapsed: float) -> None:
+            if len(setups) < wanted and elapsed >= len(setups) * seconds / wanted:
+                setups.append(setup_once())
+
+        records = window(bench, rounds, seconds, set_up_when_due)
         rss = own_peak_rss_mb()
         gate.check(records)
         # One caller: the window's time is the scaled time spent in solve.
@@ -103,7 +124,7 @@ def run(seed: int, seconds: float, trace: bool, toy: bool) -> tuple[dict, list[R
             "slo_rps": summary["goodput_rps"],
             **quality(r.report for r in records[: sum(map(len, rounds))]),
             "rss_peak_mb": rss,
-            "setup_s": setup,
+            "setup_s": median(setups),
         }
         return metrics, records
 
