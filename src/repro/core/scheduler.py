@@ -391,12 +391,11 @@ class ThermalAwareScheduler:
     ) -> list[str]:
         """Lines 9-15: greedily admit cores while STC stays within STCL.
 
-        The STC of each tentative candidate is maintained incrementally
-        (:class:`~repro.core.session_model.SessionGrowth`): admitting a
-        core only rewires its direct neighbours' escape paths, so only
-        those contributions are recomputed — bit-identical to the
-        from-scratch evaluation, without the O(session * degree) rescan
-        per candidate.
+        One pass of :class:`~repro.core.session_model.SessionGrowth`:
+        admitting a core only rewires its direct neighbours' escape
+        paths, so pricing a candidate costs O(degree) whatever the
+        session's size, and each decision is exactly the from-scratch
+        ``STC(S + [c]) <= STCL``.
 
         With a ``growth_memo``, the trajectory is keyed by everything
         the loop reads — STCL, the ordered candidate list and each
@@ -416,12 +415,8 @@ class ThermalAwareScheduler:
             stored = self._growth_memo.get(key)
             if stored is not None:
                 return list(stored)
-        growth = self._model.start_session(mapping)
-        session: list[str] = []
-        for candidate in ordered:
-            if growth.stc_if_added(candidate) <= stcl:
-                growth.add(candidate)
-                session.append(candidate)
+        growth = self._model.start_session(stcl, mapping)
+        session = [candidate for candidate in ordered if growth.try_add(candidate)]
         if key is not None:
             self._growth_memo[key] = tuple(session)
         return session
@@ -452,8 +447,10 @@ class ThermalAwareScheduler:
             When ``on_stuck="error"`` and no core fits an empty
             session, or ``max_discards`` is exhausted.
         """
-        if stcl <= 0.0:
-            raise SchedulingError(f"STCL must be positive, got {stcl!r}")
+        if not math.isfinite(tl_c):
+            raise SchedulingError(f"TL must be finite, got {tl_c!r}")
+        if not (math.isfinite(stcl) and stcl > 0.0):
+            raise SchedulingError(f"STCL must be positive and finite, got {stcl!r}")
         solves_before = self._simulator.steady_solve_count
 
         # Phase A: individual-core thermal sanity (lines 1-7).

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from ..errors import SchedulingError
 from ..floorplan.adjacency import AdjacencyMap
@@ -104,6 +104,21 @@ class SessionModelConfig:
 
 #: The configuration matching the paper exactly (all defaults).
 PAPER_SESSION_MODEL = SessionModelConfig()
+
+
+@dataclass(frozen=True, slots=True)
+class _CorePaths:
+    """One core's escape paths as conductances, in the kernel's sum order.
+
+    ``neighbours`` pairs each lateral neighbour with the conductance of
+    the path to it; ``fixed`` holds the paths no session rewires (die
+    edge, then vertical when the model includes it).  Infinite
+    resistances are left out, as :func:`~repro.units.parallel` skips them.
+    """
+
+    neighbours: tuple[tuple[str, float], ...]
+    fixed: tuple[float, ...]
+    power_w: float
 
 
 class SessionThermalModel:
@@ -167,6 +182,25 @@ class SessionThermalModel:
             for block in floorplan
         }
 
+        # What the Rth kernel reads per core.
+        self._paths: dict[str, _CorePaths] = {}
+        for name in floorplan.block_names:
+            fixed = [self._edge_r[name]]
+            if config.include_vertical:
+                fixed.append(self._vertical_r[name])
+            self._paths[name] = _CorePaths(
+                neighbours=tuple(
+                    (neighbour, 1.0 / resistance)
+                    for neighbour, resistance in self._neighbour_r[name].items()
+                    if not math.isinf(resistance)
+                ),
+                fixed=tuple(1.0 / r for r in fixed if not math.isinf(r)),
+                power_w=soc[name].test_power_w,
+            )
+        # Whether a neighbour's path survives, indexed by "is it active":
+        # M3 grounds passive neighbours, M2 drops active ones.
+        self._keeps_path = (config.ground_passive, not config.drop_active_active)
+
     # -- introspection ----------------------------------------------------------
 
     @property
@@ -200,6 +234,42 @@ class SessionThermalModel:
         except KeyError:
             raise SchedulingError(f"unknown core {core!r}") from None
 
+    # -- the kernel -------------------------------------------------------------------
+
+    def _rth(self, core: str, active: Container[str]) -> float:
+        """``Rth`` of *core* against the set *active*: every evaluator's kernel.
+
+        Sums the surviving paths' conductances in the order and with
+        the operations :func:`~repro.units.parallel` would, so the
+        result is the same float as the parallel combination of those
+        resistances.
+        """
+        try:
+            paths = self._paths[core]
+        except KeyError:
+            raise SchedulingError(f"unknown core {core!r}") from None
+        keeps_path = self._keeps_path
+        conductance = 0.0
+        for neighbour, g in paths.neighbours:
+            if keeps_path[neighbour in active]:
+                conductance += g
+        for g in paths.fixed:
+            conductance += g
+        if conductance == 0.0:
+            return math.inf
+        return 1.0 / conductance
+
+    def _contribution(
+        self, core: str, active: Container[str], weights: Mapping[str, float] | None
+    ) -> float:
+        """Unscaled STC term ``TC * P * W`` of *core* (inf when landlocked)."""
+        rth = self._rth(core, active)
+        if math.isinf(rth):
+            return math.inf
+        power = self._paths[core].power_w
+        weight = 1.0 if weights is None else weights.get(core, 1.0)
+        return power * rth * power * weight
+
     # -- the paper's quantities -----------------------------------------------------
 
     def equivalent_resistance(self, core: str, active: Iterable[str]) -> float:
@@ -223,33 +293,14 @@ class SessionThermalModel:
                 f"core {core!r} must be part of the active set it is "
                 f"evaluated against"
             )
-        paths: list[float] = []
-        for neighbour, resistance in self._neighbour_r[core].items():
-            if neighbour in active_set:
-                # Active neighbour: dropped under M2; kept (grounded) in
-                # the no-M2 ablation.
-                if not self._config.drop_active_active:
-                    paths.append(resistance)
-            else:
-                # Passive neighbour: grounded under M3; absent in the
-                # no-M3 ablation.
-                if self._config.ground_passive:
-                    paths.append(resistance)
-        edge = self._edge_r[core]
-        if not math.isinf(edge):
-            paths.append(edge)
-        if self._config.include_vertical:
-            paths.append(self._vertical_r[core])
-        if not paths:
-            return math.inf
-        return parallel(*paths)
+        return self._rth(core, active_set)
 
     def thermal_characteristic(self, core: str, active: Iterable[str]) -> float:
         """``TC_TS(core) = P(core) * Rth_TS(core)`` (kelvin-rise estimate)."""
         rth = self.equivalent_resistance(core, active)
         if math.isinf(rth):
             return math.inf
-        return self._soc[core].test_power_w * rth
+        return self._paths[core].power_w * rth
 
     def session_thermal_characteristic(
         self,
@@ -274,36 +325,27 @@ class SessionThermalModel:
             escape path.
         """
         active_list = list(active)
-        if not active_list:
-            return 0.0
-        if len(set(active_list)) != len(active_list):
+        active_set = frozenset(active_list)
+        if len(active_set) != len(active_list):
             raise SchedulingError(f"duplicate cores in session: {active_list}")
         worst = 0.0
         for core in active_list:
-            tc = self.thermal_characteristic(core, active_list)
-            if math.isinf(tc):
+            contribution = self._contribution(core, active_set, weights)
+            if math.isinf(contribution):
                 return math.inf
-            weight = 1.0 if weights is None else weights.get(core, 1.0)
-            contribution = tc * self._soc[core].test_power_w * weight
             worst = max(worst, contribution)
         return worst / self._config.stc_scale
 
     def start_session(
-        self, weights: Mapping[str, float] | None = None
+        self, stcl: float, weights: Mapping[str, float] | None = None
     ) -> "SessionGrowth":
-        """An incremental accumulator for greedy session growth.
+        """An empty session that admits cores while ``STC <= stcl``.
 
-        The scheduler's growth loop evaluates ``STC(S + [c])`` for every
-        tentative candidate ``c``; recomputing every member's
-        contribution from scratch each time is O(|S| * degree) per
-        candidate.  A :class:`SessionGrowth` keeps the members' current
-        contributions and, per candidate, recomputes only the cores
-        whose escape paths the candidate actually changes (its
-        neighbours) — producing **bit-identical** STC values, because
-        an unaffected core's contribution depends only on which of its
-        own neighbours are active.
+        See :class:`SessionGrowth`: each :meth:`SessionGrowth.try_add`
+        recomputes the candidate and its admitted neighbours only, so
+        its cost does not grow with the session.
         """
-        return SessionGrowth(self, weights)
+        return SessionGrowth(self, stcl, weights)
 
     def core_contributions(
         self,
@@ -312,106 +354,79 @@ class SessionThermalModel:
     ) -> dict[str, float]:
         """Per-core ``TC * P * W / scale`` terms of the STC max (diagnostics)."""
         active_list = list(active)
-        contributions: dict[str, float] = {}
-        for core in active_list:
-            tc = self.thermal_characteristic(core, active_list)
-            weight = 1.0 if weights is None else weights.get(core, 1.0)
-            if math.isinf(tc):
-                contributions[core] = math.inf
-            else:
-                contributions[core] = (
-                    tc * self._soc[core].test_power_w * weight / self._config.stc_scale
-                )
-        return contributions
+        active_set = frozenset(active_list)
+        return {
+            core: self._contribution(core, active_set, weights)
+            / self._config.stc_scale
+            for core in active_list
+        }
 
 
 class SessionGrowth:
-    """Incrementally maintained STC of one growing test session.
+    """One test session grown greedily under a fixed STC limit.
 
-    Created by :meth:`SessionThermalModel.start_session`.  Maintains
-    the admitted cores and their **unscaled** STC contributions
-    (``TC * P * W``); :meth:`stc_if_added` prices a tentative candidate
-    by recomputing only the contributions the candidate perturbs — the
-    candidate itself and its already-admitted neighbours (adding an
-    active core only rewires its direct neighbours' escape paths) —
-    and taking the max against the untouched remainder.
+    Created by :meth:`SessionThermalModel.start_session`.  It keeps the
+    admitted cores and their **unscaled** STC contributions
+    (``TC * P * W``).  :meth:`try_add` prices a candidate by recomputing
+    only the contributions it changes: its own and those of its
+    already-admitted neighbours, because admitting a core rewires
+    nothing but its direct neighbours' escape paths.  The candidate is
+    admitted if and only if every recomputed contribution, scaled, is
+    within the limit.
 
-    Equivalence: for any admission sequence, :meth:`stc_if_added`
-    returns exactly
-    ``model.session_thermal_characteristic(session + [candidate], weights)``
-    (same float operations on the same operands, so bit-identical);
-    the test suite asserts this property over random floorplans.
+    That decision is exactly ``STC(session + [candidate]) <= stcl``:
+    every contribution left untouched passed the same check when it
+    was stored, and dividing by the positive ``stc_scale`` preserves
+    order, so the maximum fits if and only if each term does.  The
+    stored values are the from-scratch ones (same kernel, same
+    operands), so :meth:`stc` equals
+    ``model.session_thermal_characteristic(cores, weights)`` bit for
+    bit; the test suite asserts both properties over every ablation.
     """
 
     def __init__(
         self,
         model: SessionThermalModel,
+        stcl: float,
         weights: Mapping[str, float] | None = None,
     ) -> None:
         self._model = model
+        self._stcl = stcl
         self._weights = weights
-        self._active: list[str] = []
-        #: Unscaled contribution (TC * P * W) per admitted core.
+        self._scale = model.config.stc_scale
+        #: Unscaled contribution per admitted core, in admission order.
         self._contrib: dict[str, float] = {}
 
     @property
     def cores(self) -> tuple[str, ...]:
         """The admitted cores, in admission order."""
-        return tuple(self._active)
+        return tuple(self._contrib)
 
-    def _contribution(self, core: str, active: list[str]) -> float:
-        tc = self._model.thermal_characteristic(core, active)
-        if math.isinf(tc):
-            return math.inf
-        weight = 1.0 if self._weights is None else self._weights.get(core, 1.0)
-        return tc * self._model.soc[core].test_power_w * weight
-
-    def _affected_members(self, candidate: str) -> list[str]:
-        """Admitted cores whose escape paths *candidate* rewires."""
-        try:
-            neighbours = self._model._neighbour_r[candidate]
-        except KeyError:
-            raise SchedulingError(f"unknown core {candidate!r}") from None
-        return [core for core in self._active if core in neighbours]
-
-    def stc_if_added(self, candidate: str) -> float:
-        """``STC(session + [candidate])`` without committing the candidate."""
-        if candidate in self._contrib:
+    def try_add(self, candidate: str) -> bool:
+        """Admit *candidate* if the session's STC stays within the limit."""
+        contrib = self._contrib
+        if candidate in contrib:
             raise SchedulingError(
                 f"core {candidate!r} is already part of the session"
             )
-        affected = self._affected_members(candidate)
-        tentative = self._active + [candidate]
-        worst = 0.0
-        if self._contrib:
-            unchanged = self._contrib.keys() - set(affected)
-            if unchanged:
-                worst = max(self._contrib[core] for core in unchanged)
-        if math.isinf(worst):
-            return math.inf
-        for core in affected + [candidate]:
-            contribution = self._contribution(core, tentative)
-            if math.isinf(contribution):
-                return math.inf
-            worst = max(worst, contribution)
-        return worst / self._model.config.stc_scale
-
-    def add(self, candidate: str) -> None:
-        """Admit *candidate*, updating the perturbed contributions."""
-        if candidate in self._contrib:
-            raise SchedulingError(
-                f"core {candidate!r} is already part of the session"
-            )
-        affected = self._affected_members(candidate)
-        self._active.append(candidate)
-        for core in affected + [candidate]:
-            self._contrib[core] = self._contribution(core, self._active)
+        model = self._model
+        scale = self._scale
+        # The candidate's own Rth does not depend on whether it is active.
+        own = model._contribution(candidate, contrib, self._weights)
+        if not own / scale <= self._stcl:
+            return False
+        contrib[candidate] = own
+        rewired = []
+        for neighbour, _ in model._paths[candidate].neighbours:
+            if neighbour in contrib:
+                value = model._contribution(neighbour, contrib, self._weights)
+                if not value / scale <= self._stcl:
+                    del contrib[candidate]
+                    return False
+                rewired.append((neighbour, value))
+        contrib.update(rewired)
+        return True
 
     def stc(self) -> float:
         """STC of the session as admitted so far (0.0 when empty)."""
-        if not self._contrib:
-            return 0.0
-        worst = max(self._contrib.values())
-        if math.isinf(worst):
-            return math.inf
-        return worst / self._model.config.stc_scale
+        return max(self._contrib.values(), default=0.0) / self._scale

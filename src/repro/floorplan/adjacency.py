@@ -14,20 +14,22 @@ test-session model) needs, for every block:
 
 This module computes all of that once per floorplan and exposes it as an
 :class:`AdjacencyMap` plus a :func:`adjacency_graph` view as a
-``networkx.Graph`` for analysis and tests.
+``networkx.Graph`` for analysis and tests (the only part of the library
+that needs ``networkx``, which is not one of its dependencies).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import FloorplanError
 from .floorplan import Floorplan
 from .geometry import GEOM_TOL, Side, boundary_exposure, shared_edge
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,11 @@ def adjacency_graph(adjacency: AdjacencyMap) -> nx.Graph:
 
     Nodes are block names (with ``area`` attributes); edges carry the
     shared edge ``length``.  Used by tests (connectivity, symmetry) and
-    available to users for floorplan analysis.
+    available to users for floorplan analysis; needs ``networkx``
+    installed.
     """
+    import networkx as nx
+
     graph = nx.Graph(name=adjacency.floorplan.name)
     for block in adjacency.floorplan:
         graph.add_node(block.name, area=block.area)

@@ -11,6 +11,7 @@ either may import it at module level.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 
@@ -78,12 +79,23 @@ def validate_limit_fields(
     """Enforce the shared (TL, STCL) field rules of every spec shape.
 
     Exactly one of the TL pair; ``tl_headroom`` strictly above 1; at
-    most one of the STCL pair, each strictly positive.  Whether an STCL
-    is *required* depends on the solver's capability flag and is
-    checked by the caller.
+    most one of the STCL pair, each strictly positive; every limit a
+    finite number (no temperature reaches a NaN or infinite TL, so such
+    a limit would commit any schedule).  Whether an STCL is *required*
+    depends on the solver's capability flag and is checked by the
+    caller.
     """
     if (tl_c is None) == (tl_headroom is None):
         raise error_cls(f"{prefix}exactly one of tl_c / tl_headroom is required")
+    limits = {
+        "tl_c": tl_c,
+        "tl_headroom": tl_headroom,
+        "stcl": stcl,
+        "stcl_headroom": stcl_headroom,
+    }
+    for name, value in limits.items():
+        if value is not None and not _is_finite_number(value):
+            raise error_cls(f"{prefix}{name} must be a finite number, got {value!r}")
     if tl_headroom is not None and tl_headroom <= 1.0:
         raise error_cls(
             f"{prefix}tl_headroom must be > 1 (TL at or below the singleton "
@@ -97,3 +109,10 @@ def validate_limit_fields(
         raise error_cls(
             f"{prefix}stcl_headroom must be positive, got {stcl_headroom!r}"
         )
+
+
+def _is_finite_number(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False

@@ -49,6 +49,14 @@ class TestValidation:
         with pytest.raises(RequestError, match="positive"):
             ScheduleRequest(soc="alpha15", tl_c=100.0, stcl=-1.0)
 
+    def test_non_finite_limits_rejected(self, non_finite_limits):
+        with pytest.raises(RequestError, match="must be a finite number"):
+            ScheduleRequest(soc="alpha15", **non_finite_limits)
+
+    def test_non_numeric_limit_rejected(self):
+        with pytest.raises(RequestError, match="tl_c must be a finite number"):
+            ScheduleRequest(soc="alpha15", tl_c="hot", stcl=60.0)
+
     def test_solver_name_required(self):
         with pytest.raises(RequestError, match="solver"):
             ScheduleRequest(soc="alpha15", tl_c=100.0, solver="")

@@ -69,6 +69,10 @@ class TestSolveSoc:
                 soc, tl_c=170.0, stcl=60.0, stcl_headroom=2.0
             )
 
+    def test_non_finite_limits_rejected(self, non_finite_limits):
+        with pytest.raises(RequestError, match="must be a finite number"):
+            Workbench().solve_soc(alpha15_soc(), **non_finite_limits)
+
     def test_baseline_without_stcl_reports_nan(self):
         report = Workbench().solve_soc(
             alpha15_soc(), solver="sequential", tl_c=170.0

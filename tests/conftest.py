@@ -7,6 +7,7 @@ steady-state systems against the same factorised networks.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -64,6 +65,23 @@ def _global_test_timeout(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(
+    params=[
+        (field, value)
+        for field in ("tl_c", "tl_headroom", "stcl", "stcl_headroom")
+        for value in (math.nan, math.inf)
+    ],
+    ids=lambda param: f"{param[0]}={param[1]}",
+)
+def non_finite_limits(request) -> dict[str, float]:
+    """Valid TL and STCL keyword limits with one field NaN or infinite."""
+    field, value = request.param
+    limits = {"tl_c": 165.0, "stcl": 60.0}
+    del limits["tl_c" if field.startswith("tl") else "stcl"]
+    limits[field] = value
+    return limits
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.scheduler import (
@@ -41,6 +43,14 @@ class TestConfigValidation:
         scheduler = ThermalAwareScheduler(small_soc())
         with pytest.raises(SchedulingError):
             scheduler.schedule(tl_c=150.0, stcl=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["tl_c", "stcl"])
+    def test_non_finite_limits_rejected(self, field, value):
+        scheduler = ThermalAwareScheduler(small_soc())
+        limits = {"tl_c": 150.0, "stcl": 10.0, field: value}
+        with pytest.raises(SchedulingError, match="finite"):
+            scheduler.schedule(**limits)
 
 
 class TestPhaseA:

@@ -109,6 +109,26 @@ class TestEquivalentResistanceAlgebra:
             example_model.vertical_resistance("zz")
 
 
+class TestUnknownCores:
+    """Every evaluator reports an unknown core as a SchedulingError."""
+
+    def test_equivalent_resistance(self, example_model):
+        with pytest.raises(SchedulingError, match="unknown core 'nope'"):
+            example_model.equivalent_resistance("nope", ["nope"])
+
+    def test_thermal_characteristic(self, example_model):
+        with pytest.raises(SchedulingError, match="unknown core 'nope'"):
+            example_model.thermal_characteristic("nope", ["B2", "nope"])
+
+    def test_session_thermal_characteristic(self, example_model):
+        with pytest.raises(SchedulingError, match="unknown core 'nope'"):
+            example_model.session_thermal_characteristic(["nope"])
+
+    def test_core_contributions(self, example_model):
+        with pytest.raises(SchedulingError, match="unknown core 'nope'"):
+            example_model.core_contributions(["B2", "nope"])
+
+
 class TestModificationAblations:
     def test_no_m2_keeps_active_active_paths(self, example_soc):
         """Ablation: keeping active-active resistances can only lower

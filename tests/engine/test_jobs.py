@@ -39,6 +39,10 @@ class TestJobSpecValidation:
         with pytest.raises(SchedulingError, match="tl_headroom"):
             JobSpec(job_id="j", scenario=GRID, tl_headroom=0.9, stcl=10.0)
 
+    def test_non_finite_limits_rejected(self, non_finite_limits):
+        with pytest.raises(SchedulingError, match="must be a finite number"):
+            JobSpec(job_id="j", scenario=GRID, **non_finite_limits)
+
     def test_to_request_passes_stc_scale_override(self):
         override = JobSpec(
             job_id="j2", scenario=GRID, tl_c=160.0, stcl=60.0, stc_scale=5.0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.errors import FloorplanError
@@ -12,6 +11,12 @@ from repro.floorplan.adjacency import AdjacencyMap, adjacency_graph
 from repro.floorplan.floorplan import Block, Floorplan
 from repro.floorplan.generator import grid_floorplan
 from repro.floorplan.geometry import Rect, Side
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """networkx, needed only by the graph view; its tests skip without it."""
+    return pytest.importorskip("networkx")
 
 
 @pytest.fixture(scope="module")
@@ -104,11 +109,11 @@ class TestGridAdjacency:
         expected = rows * (cols - 1) + cols * (rows - 1)
         assert len(amap.interfaces) == expected
 
-    def test_grid_graph_is_connected(self):
+    def test_grid_graph_is_connected(self, nx):
         graph = adjacency_graph(AdjacencyMap(grid_floorplan(4, 4)))
         assert nx.is_connected(graph)
 
-    def test_grid_corner_interior_degrees(self):
+    def test_grid_corner_interior_degrees(self, nx):
         graph = adjacency_graph(AdjacencyMap(grid_floorplan(3, 3)))
         degrees = dict(graph.degree())
         assert degrees["C0_0"] == 2  # corner
@@ -117,11 +122,11 @@ class TestGridAdjacency:
 
 
 class TestAdjacencyGraphView:
-    def test_nodes_carry_area(self, quad):
+    def test_nodes_carry_area(self, nx, quad):
         graph = adjacency_graph(quad)
         assert graph.nodes["a"]["area"] == pytest.approx(1.0)
 
-    def test_edges_carry_length(self, quad):
+    def test_edges_carry_length(self, nx, quad):
         graph = adjacency_graph(quad)
         assert graph.edges["a", "b"]["length"] == pytest.approx(1.0)
 
@@ -131,7 +136,7 @@ class TestPaperLayouts:
         amap = AdjacencyMap(alpha15_floorplan)
         assert amap.is_fully_tiled()
 
-    def test_alpha15_graph_connected(self, alpha15_floorplan):
+    def test_alpha15_graph_connected(self, nx, alpha15_floorplan):
         graph = adjacency_graph(AdjacencyMap(alpha15_floorplan))
         assert nx.is_connected(graph)
         assert graph.number_of_nodes() == 15

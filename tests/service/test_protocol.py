@@ -113,6 +113,14 @@ class TestSubmitFrames:
         with pytest.raises(ProtocolError, match="malformed request"):
             parse_submit_frame(frame)
 
+    def test_nan_limit_rejected(self):
+        frame = submit_frame("c1", REQUEST)
+        frame["request"]["tl_c"] = float("nan")
+        line = json.dumps(frame)
+        assert '"tl_c": NaN' in line
+        with pytest.raises(ProtocolError, match="tl_c must be a finite number"):
+            parse_submit_frame(decode_frame(line))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, "soon"])
     def test_bad_timeout_rejected(self, bad):
         frame = submit_frame("c1", REQUEST)

@@ -7,6 +7,12 @@ messages).
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import repro
@@ -133,3 +139,26 @@ class TestQuickstartDocExample:
         assert sequential.length_s >= thermal.length_s
         audit_ok = thermal.hot_spot_rate == 0.0
         assert audit_ok
+
+
+def test_library_imports_and_solves_without_networkx():
+    """networkx is not a dependency: a clean install must import and solve."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["networkx"] = None  # every import of it now fails
+        from repro import ScheduleRequest, solve
+
+        report = solve(ScheduleRequest(soc="alpha15", tl_c=165.0, stcl=60.0))
+        assert report.max_temperature_c < 165.0, report.max_temperature_c
+        """
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not existing else os.pathsep.join([src, existing])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
