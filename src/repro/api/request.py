@@ -121,6 +121,7 @@ class ScheduleRequest:
             stcl=self.stcl,
             stcl_headroom=self.stcl_headroom,
             error_cls=RequestError,
+            stc_scale=self.stc_scale,
         )
         if not self.solver or not isinstance(self.solver, str):
             raise RequestError(f"solver must be a non-empty name, got {self.solver!r}")

@@ -84,7 +84,8 @@ class Workbench:
     cache:
         Thermal-model cache shared by every solve issued through this
         workbench (and by fleets run on memory-sharing backends).
-        Defaults to a fresh unbounded cache.
+        Defaults to a fresh cache with the default LRU bound
+        (:data:`~repro.engine.cache.MODEL_CACHE_ENTRIES`).
     use_cache:
         Disable model sharing entirely; every solve builds its own
         network.
@@ -297,6 +298,7 @@ class Workbench:
             stcl=stcl,
             stcl_headroom=stcl_headroom,
             error_cls=RequestError,
+            stc_scale=stc_scale,
         )
         if solver_obj.needs_stcl and stcl is None and stcl_headroom is None:
             raise RequestError(

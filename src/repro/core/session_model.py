@@ -50,11 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Container, Iterable, Mapping
 
 from ..errors import SchedulingError
-from ..floorplan.adjacency import AdjacencyMap
+from ..floorplan.floorplan import Floorplan
 from ..soc.system import SocUnderTest
+from ..spec_utils import is_positive_number
 from ..thermal.package import PackageConfig
 from ..thermal.resistances import (
     boundary_edge_resistance,
@@ -96,9 +98,9 @@ class SessionModelConfig:
     stc_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.stc_scale <= 0.0:
+        if not is_positive_number(self.stc_scale):
             raise SchedulingError(
-                f"stc_scale must be positive, got {self.stc_scale!r}"
+                f"stc_scale must be a finite positive number, got {self.stc_scale!r}"
             )
 
 
@@ -118,14 +120,99 @@ class _CorePaths:
 
     neighbours: tuple[tuple[str, float], ...]
     fixed: tuple[float, ...]
-    power_w: float
+
+
+#: (floorplan, package, vertical path) combinations whose escape paths
+#: each process keeps; an entry is a few floats per block and interface.
+CONDUCTANCE_MEMO_SIZE = 64
+
+
+@dataclass(frozen=True)
+class _NetworkPaths:
+    """Every power-independent input of the session model for one network.
+
+    Shared read-only by all models built on the same floorplan and
+    package with the same vertical-path switch.
+    """
+
+    neighbour_r: dict[str, dict[str, float]]
+    edge_r: dict[str, float]
+    vertical_r: dict[str, float]
+    paths: dict[str, _CorePaths]
+
+
+@lru_cache(maxsize=CONDUCTANCE_MEMO_SIZE)
+def _network_paths(
+    floorplan: Floorplan, package: PackageConfig, include_vertical: bool
+) -> _NetworkPaths:
+    """Resistances and kernel conductances of one network, computed once.
+
+    Keyed by the floorplan object (whose shared adjacency map it reads),
+    the package's value and whether the vertical path is included.
+    """
+    adjacency = floorplan.adjacency
+
+    # Lateral resistance to each neighbour, per core.
+    neighbour_r: dict[str, dict[str, float]] = {
+        name: {} for name in floorplan.block_names
+    }
+    for interface in adjacency.interfaces:
+        block_a = floorplan[interface.block_a]
+        block_b = floorplan[interface.block_b]
+        resistance = lateral_interface_resistance(
+            block_a, block_b, interface, package
+        )
+        neighbour_r[block_a.name][block_b.name] = resistance
+        neighbour_r[block_b.name][block_a.name] = resistance
+
+    # Die-edge escape paths, combined in parallel per core (they all
+    # terminate at the package periphery, i.e. thermal ground in this
+    # model).
+    edge_r: dict[str, float] = {}
+    for block in floorplan:
+        segments = adjacency.boundary_segments(block.name)
+        if segments:
+            edge_r[block.name] = parallel(
+                *(
+                    boundary_edge_resistance(block, segment, package)
+                    for segment in segments
+                )
+            )
+        else:
+            edge_r[block.name] = math.inf
+
+    # Optional vertical path: per-core stack plus the shared
+    # spreader/sink/convection tail.
+    shared_tail = shared_path_resistance(package)
+    vertical_r = {
+        block.name: vertical_stack_resistance(block, package) + shared_tail
+        for block in floorplan
+    }
+
+    # What the Rth kernel reads per core.
+    paths: dict[str, _CorePaths] = {}
+    for name in floorplan.block_names:
+        fixed = [edge_r[name]]
+        if include_vertical:
+            fixed.append(vertical_r[name])
+        paths[name] = _CorePaths(
+            neighbours=tuple(
+                (neighbour, 1.0 / resistance)
+                for neighbour, resistance in neighbour_r[name].items()
+                if not math.isinf(resistance)
+            ),
+            fixed=tuple(1.0 / r for r in fixed if not math.isinf(r)),
+        )
+    return _NetworkPaths(neighbour_r, edge_r, vertical_r, paths)
 
 
 class SessionThermalModel:
     """Evaluates Rth / TC / STC for candidate test sessions of one SoC.
 
-    All lateral and vertical resistances are precomputed once per SoC;
-    evaluating a session is then pure parallel-resistance arithmetic.
+    All lateral and vertical resistances are computed once per
+    (floorplan, package) pair and shared through a bounded per-process
+    memo; a model pairs them with its SoC's test powers, and evaluating
+    a session is then pure parallel-resistance arithmetic.
 
     Parameters
     ----------
@@ -141,62 +228,14 @@ class SessionThermalModel:
     ) -> None:
         self._soc = soc
         self._config = config
-        adjacency: AdjacencyMap = soc.adjacency
-        package: PackageConfig = soc.package
-        floorplan = soc.floorplan
-
-        # Lateral resistance to each neighbour, per core.
-        self._neighbour_r: dict[str, dict[str, float]] = {
-            name: {} for name in floorplan.block_names
-        }
-        for interface in adjacency.interfaces:
-            block_a = floorplan[interface.block_a]
-            block_b = floorplan[interface.block_b]
-            resistance = lateral_interface_resistance(
-                block_a, block_b, interface, package
-            )
-            self._neighbour_r[block_a.name][block_b.name] = resistance
-            self._neighbour_r[block_b.name][block_a.name] = resistance
-
-        # Die-edge escape paths, combined in parallel per core (they all
-        # terminate at the package periphery, i.e. thermal ground in
-        # this model).
-        self._edge_r: dict[str, float] = {}
-        for block in floorplan:
-            segments = adjacency.boundary_segments(block.name)
-            if segments:
-                self._edge_r[block.name] = parallel(
-                    *(
-                        boundary_edge_resistance(block, segment, package)
-                        for segment in segments
-                    )
-                )
-            else:
-                self._edge_r[block.name] = math.inf
-
-        # Optional vertical path: per-core stack plus the shared
-        # spreader/sink/convection tail.
-        shared_tail = shared_path_resistance(package)
-        self._vertical_r: dict[str, float] = {
-            block.name: vertical_stack_resistance(block, package) + shared_tail
-            for block in floorplan
-        }
-
-        # What the Rth kernel reads per core.
-        self._paths: dict[str, _CorePaths] = {}
-        for name in floorplan.block_names:
-            fixed = [self._edge_r[name]]
-            if config.include_vertical:
-                fixed.append(self._vertical_r[name])
-            self._paths[name] = _CorePaths(
-                neighbours=tuple(
-                    (neighbour, 1.0 / resistance)
-                    for neighbour, resistance in self._neighbour_r[name].items()
-                    if not math.isinf(resistance)
-                ),
-                fixed=tuple(1.0 / r for r in fixed if not math.isinf(r)),
-                power_w=soc[name].test_power_w,
-            )
+        network = _network_paths(
+            soc.floorplan, soc.package, config.include_vertical
+        )
+        self._neighbour_r = network.neighbour_r
+        self._edge_r = network.edge_r
+        self._vertical_r = network.vertical_r
+        self._paths = network.paths
+        self._power = soc.test_power_map()
         # Whether a neighbour's path survives, indexed by "is it active":
         # M3 grounds passive neighbours, M2 drops active ones.
         self._keeps_path = (config.ground_passive, not config.drop_active_active)
@@ -266,7 +305,7 @@ class SessionThermalModel:
         rth = self._rth(core, active)
         if math.isinf(rth):
             return math.inf
-        power = self._paths[core].power_w
+        power = self._power[core]
         weight = 1.0 if weights is None else weights.get(core, 1.0)
         return power * rth * power * weight
 
@@ -300,7 +339,7 @@ class SessionThermalModel:
         rth = self.equivalent_resistance(core, active)
         if math.isinf(rth):
             return math.inf
-        return self._paths[core].power_w * rth
+        return self._power[core] * rth
 
     def session_thermal_characteristic(
         self,

@@ -11,13 +11,16 @@ of the floorplan geometry and package parameters, and hands every job a
 lightweight :class:`~repro.thermal.simulator.ThermalSimulator` facade
 (with its own effort counters) around the shared immutable artefacts.
 
-The cache is thread-safe (the thread backend shares one instance across
-workers) and keeps hit/miss statistics for batch summaries.
+The cache is a thread-safe LRU (the thread backend shares one instance
+across workers), bounded by default, and keeps hit/miss/eviction
+statistics for batch summaries and the service's metrics.  Floorplans,
+adjacency maps and packages each hash their content once, and the
+scenario layer shares all three across warm requests, so a warm key is
+a string concatenation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -34,72 +37,28 @@ from ..thermal.steady_state import SteadyStateSolver
 def floorplan_fingerprint(floorplan: Floorplan) -> str:
     """Content hash of a floorplan's thermally relevant geometry.
 
-    Block order matters (it defines the solver's node indexing) and
-    float coordinates are hashed via ``repr`` so any bit-level
-    difference produces a different key — false cache misses are
-    acceptable, false hits are not.  The floorplan *name* is excluded:
-    two identically shaped dies share a thermal network regardless of
-    what they are called.
+    Computed once per floorplan object; see
+    :attr:`Floorplan.fingerprint <repro.floorplan.floorplan.Floorplan.fingerprint>`.
     """
-    digest = hashlib.sha256()
-    for block in floorplan:
-        rect = block.rect
-        digest.update(
-            f"{block.name}|{rect.x!r}|{rect.y!r}|{rect.width!r}|{rect.height!r};".encode()
-        )
-    outline = floorplan.outline
-    digest.update(
-        f"@{outline.x!r}|{outline.y!r}|{outline.width!r}|{outline.height!r}".encode()
-    )
-    return digest.hexdigest()
+    return floorplan.fingerprint
 
 
 def package_fingerprint(package: PackageConfig) -> str:
-    """Content hash of every package parameter (materials included)."""
-    digest = hashlib.sha256()
-    digest.update(
-        "|".join(
-            [
-                repr(package.die_thickness),
-                repr(package.die_material),
-                repr(package.tim_thickness),
-                repr(package.tim_material),
-                repr(package.spreader_side),
-                repr(package.spreader_thickness),
-                repr(package.spreader_material),
-                repr(package.sink_side),
-                repr(package.sink_thickness),
-                repr(package.sink_material),
-                repr(package.convection_resistance),
-                repr(package.convection_capacitance),
-                repr(package.rim_coefficient),
-                repr(package.ambient_c),
-            ]
-        ).encode()
-    )
-    return digest.hexdigest()
+    """Content hash of every package parameter (materials included).
+
+    Computed once per package object; see
+    :attr:`PackageConfig.fingerprint <repro.thermal.package.PackageConfig.fingerprint>`.
+    """
+    return package.fingerprint
 
 
 def adjacency_fingerprint(adjacency: AdjacencyMap) -> str:
     """Content hash of an adjacency map's thermally relevant structure.
 
-    A custom adjacency (different tolerance, hence different interface
-    topology and shared-edge lengths) changes the lateral conductances
-    of the built network, so it must key the cache — a false hit here
-    returns wrong temperatures.
+    Computed once per map object; see
+    :attr:`AdjacencyMap.fingerprint <repro.floorplan.adjacency.AdjacencyMap.fingerprint>`.
     """
-    digest = hashlib.sha256()
-    for interface in adjacency.interfaces:
-        digest.update(
-            f"{interface.block_a}|{interface.block_b}|{interface.side_of_a}|"
-            f"{interface.length!r};".encode()
-        )
-    for name in adjacency.iter_block_names():
-        for segment in adjacency.boundary_segments(name):
-            digest.update(
-                f"@{segment.block}|{segment.side}|{segment.length!r};".encode()
-            )
-    return digest.hexdigest()
+    return adjacency.fingerprint
 
 
 def model_key(
@@ -118,6 +77,14 @@ def model_key(
     if adjacency is not None:
         key += ":" + adjacency_fingerprint(adjacency)
     return key
+
+
+#: Default LRU bound of :class:`ThermalModelCache`.  An entry holds a
+#: compiled network, its Cholesky factor and (once extracted) the reduced
+#: operator: O((n+7)^2) floats for an *n*-block die, about 0.55 MB at
+#: 12x12 blocks and 1.7 MB at 16x16, so 128 entries of 12x12 networks
+#: bound the cache near 70 MB.
+MODEL_CACHE_ENTRIES = 128
 
 
 #: Per-process model cache shared by every process-pool worker function
@@ -232,13 +199,12 @@ class ThermalModelCache:
     Parameters
     ----------
     max_entries:
-        LRU bound on cached models (``None`` = unbounded).  A compiled
-        model plus factor for an *n*-block die is O((n+7)^2) floats, so
-        even large fleets rarely need a bound; it exists for services
-        that run forever.
+        LRU bound on cached models; ``None`` means unbounded.  Defaults
+        to :data:`MODEL_CACHE_ENTRIES`, so a long-running service or a
+        fleet streaming never-seen networks keeps a bounded footprint.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    def __init__(self, max_entries: int | None = MODEL_CACHE_ENTRIES) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
         self._max_entries = max_entries

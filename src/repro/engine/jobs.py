@@ -132,6 +132,7 @@ class JobSpec:
             stcl_headroom=self.stcl_headroom,
             error_cls=SchedulingError,
             prefix=f"job {self.job_id!r}: ",
+            stc_scale=self.stc_scale,
         )
         if (
             self.stcl is None

@@ -247,7 +247,8 @@ class BatchRunner:
         to the CPU count).
     cache:
         Thermal-model cache shared across jobs on memory-sharing
-        backends.  Defaults to a fresh unbounded cache; pass an
+        backends.  Defaults to a fresh cache with the default LRU
+        bound (:data:`~repro.engine.cache.MODEL_CACHE_ENTRIES`); pass an
         existing one to retain models across batches (a long-running
         service), or ``None`` explicitly via ``use_cache=False``.
     use_cache:

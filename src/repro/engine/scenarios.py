@@ -3,10 +3,16 @@
 A :class:`ScenarioSpec` is a *description* of a system under test — not
 the built objects.  It is a frozen dataclass of primitives, so it is
 hashable, picklable (it crosses process boundaries in the
-multiprocessing backend) and trivially JSON-serialisable; the heavy
-artefacts (floorplan, package, SoC) are built on demand in whatever
-worker executes the job, where the batch engine's thermal-model cache
-deduplicates the expensive parts.
+multiprocessing backend) and trivially JSON-serialisable; the SoC is
+built on demand in whatever process executes the job.  Everything that
+depends only on the geometry is built once per process and shared: the
+floorplan comes from a bounded LRU keyed by the spec's generator
+arguments (built-in layouts are shared by the floorplan library), and
+each shared floorplan computes its adjacency map and fingerprint once;
+packages are shared per cooling regime the same way.
+A warm :meth:`ScenarioSpec.build_soc` therefore builds only the power
+profile and the :class:`~repro.soc.system.SocUnderTest`, and the
+thermal-model cache deduplicates the compiled network behind it.
 
 :func:`generate_fleet` turns "as many scenarios as you can imagine"
 into one seeded call: it emits a diverse mix of grid and random
@@ -19,7 +25,8 @@ thermal network — the sharing the cache exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Sequence
+from functools import lru_cache
+from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from ..soc.library import (
     worked_example6_soc,
 )
 from ..soc.system import SocUnderTest
+from ..spec_utils import is_finite_number, is_integer, is_positive_number
 from ..thermal.package import DEFAULT_PACKAGE, PackageConfig
 
 #: Floorplan families a scenario can describe.
@@ -41,6 +49,38 @@ ScenarioKind = Literal["grid", "slicing", "alpha15", "hypothetical7", "worked_ex
 
 #: Kinds backed by built-in library SoCs (no generator parameters).
 BUILTIN_KINDS = ("alpha15", "hypothetical7", "worked_example6")
+
+#: Generated floorplan shapes, and separately package cooling regimes,
+#: that each process keeps for reuse.  A floorplan entry holds the blocks
+#: plus the adjacency map and fingerprint they compute on first use:
+#: about 0.2 MB for a 16x16 grid, far less for the tens-of-blocks shapes
+#: most requests name.  A package entry is a few hundred bytes.
+SCENARIO_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=SCENARIO_MEMO_SIZE, typed=True)
+def _package(convection_resistance: float, ambient_c: float) -> PackageConfig:
+    """The shared package of one cooling regime."""
+    return replace(
+        DEFAULT_PACKAGE,
+        convection_resistance=convection_resistance,
+        ambient_c=ambient_c,
+    )
+
+
+@lru_cache(maxsize=SCENARIO_MEMO_SIZE, typed=True)
+def _generated_floorplan(kind: str, *shape: Any) -> Floorplan:
+    """The shared floorplan of one generated shape (see ``ScenarioSpec._shape``).
+
+    ``typed=True`` keeps ``1`` and ``1.0`` apart: they build the same
+    blocks but an outline whose ``repr`` (hence fingerprint) differs.
+    """
+    if kind == "grid":
+        return grid_floorplan(*shape)
+    n_blocks, die_width, die_height, seed, split_bias = shape
+    return slicing_floorplan(
+        n_blocks, die_width, die_height, seed=seed, split_bias=split_bias
+    )
 
 
 @dataclass(frozen=True)
@@ -93,13 +133,37 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("grid", "slicing") + BUILTIN_KINDS:
             raise SchedulingError(f"unknown scenario kind {self.kind!r}")
-        if self.power_scale <= 0.0:
+        for name in ("rows", "cols", "n_blocks"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise SchedulingError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        for name in ("floorplan_seed", "power_seed"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 0):
+                raise SchedulingError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
+        for name in (
+            "die_width",
+            "die_height",
+            "power_scale",
+            "test_time_s",
+            "convection_resistance",
+        ):
+            value = getattr(self, name)
+            if not is_positive_number(value):
+                raise SchedulingError(
+                    f"{name} must be a finite positive number, got {value!r}"
+                )
+        if not (is_finite_number(self.split_bias) and 0.0 < self.split_bias < 1.0):
             raise SchedulingError(
-                f"power_scale must be positive, got {self.power_scale!r}"
+                f"split_bias must lie in (0, 1), got {self.split_bias!r}"
             )
-        if self.test_time_s <= 0.0:
+        if not is_finite_number(self.ambient_c):
             raise SchedulingError(
-                f"test_time_s must be positive, got {self.test_time_s!r}"
+                f"ambient_c must be a finite number, got {self.ambient_c!r}"
             )
 
     # -- derived identity ---------------------------------------------------------
@@ -144,44 +208,43 @@ class ScenarioSpec:
         :meth:`build_package` participate; ``power_seed`` /
         ``power_scale`` / ``test_time_s`` deliberately do not.
         """
-        key: tuple = (self.kind, self.convection_resistance, self.ambient_c)
+        return (self.kind, self.convection_resistance, self.ambient_c) + self._shape()
+
+    def _shape(self) -> tuple:
+        """The floorplan generator's arguments (empty for built-in kinds).
+
+        Specs with equal kind and shape build the same floorplan, so
+        :meth:`build_floorplan` shares one object between them.
+        """
         if self.kind == "grid":
-            key += (self.rows, self.cols, self.die_width, self.die_height)
-        elif self.kind == "slicing":
-            key += (
+            return (self.rows, self.cols, self.die_width, self.die_height)
+        if self.kind == "slicing":
+            return (
                 self.n_blocks,
                 self.die_width,
                 self.die_height,
                 self.floorplan_seed,
                 self.split_bias,
             )
-        return key
+        return ()
 
     # -- builders -----------------------------------------------------------------
 
     def build_package(self) -> PackageConfig:
-        """The package stack this scenario describes."""
-        return replace(
-            DEFAULT_PACKAGE,
-            convection_resistance=self.convection_resistance,
-            ambient_c=self.ambient_c,
-        )
+        """The package stack this scenario describes, shared per cooling regime."""
+        return _package(self.convection_resistance, self.ambient_c)
 
     def build_floorplan(self) -> Floorplan:
-        """Construct the floorplan (geometry only; cheap)."""
-        if self.kind == "grid":
-            return grid_floorplan(
-                self.rows, self.cols, self.die_width, self.die_height
-            )
-        if self.kind == "slicing":
-            return slicing_floorplan(
-                self.n_blocks,
-                self.die_width,
-                self.die_height,
-                seed=self.floorplan_seed,
-                split_bias=self.split_bias,
-            )
-        return self.build_soc().floorplan
+        """The floorplan this scenario describes, shared per shape.
+
+        Built on the first request for its shape and then served from a
+        per-process LRU of :data:`SCENARIO_MEMO_SIZE` shapes; the
+        floorplan is immutable, so every SoC built on it shares its
+        adjacency map and fingerprint too.
+        """
+        if self.kind in BUILTIN_KINDS:
+            return self.build_soc().floorplan
+        return _generated_floorplan(self.kind, *self._shape())
 
     def build_soc(self) -> SocUnderTest:
         """Construct the full system under test this scenario describes."""

@@ -20,8 +20,10 @@ that needs ``networkx``, which is not one of its dependencies).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import FloorplanError
@@ -83,6 +85,8 @@ class AdjacencyMap:
 
     Built once (O(n^2) in the number of blocks) and then queried by the
     thermal network builder and by the session thermal model.
+    :attr:`Floorplan.adjacency <repro.floorplan.floorplan.Floorplan.adjacency>`
+    holds the shared default-tolerance map of a floorplan.
     """
 
     def __init__(self, floorplan: Floorplan, tol: float = GEOM_TOL) -> None:
@@ -158,6 +162,28 @@ class AdjacencyMap:
     def iter_block_names(self) -> Iterator[str]:
         """Iterate block names in canonical floorplan order."""
         return iter(self._floorplan.block_names)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of the thermally relevant structure (computed once).
+
+        A custom adjacency (different tolerance, hence different
+        interface topology and shared-edge lengths) changes the lateral
+        conductances of the built network, so it keys the model cache:
+        a false hit there would return wrong temperatures.
+        """
+        digest = hashlib.sha256()
+        for interface in self._interfaces:
+            digest.update(
+                f"{interface.block_a}|{interface.block_b}|{interface.side_of_a}|"
+                f"{interface.length!r};".encode()
+            )
+        for name in self.iter_block_names():
+            for segment in self._boundary[name]:
+                digest.update(
+                    f"@{segment.block}|{segment.side}|{segment.length!r};".encode()
+                )
+        return digest.hexdigest()
 
     # -- diagnostics --------------------------------------------------------------
 

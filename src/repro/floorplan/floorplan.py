@@ -19,12 +19,17 @@ runs once in ``__init__`` and every consumer can then rely on:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..errors import FloorplanError, GeometryError
 from .geometry import GEOM_TOL, Rect, bounding_box, total_area
+
+if TYPE_CHECKING:
+    from .adjacency import AdjacencyMap
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,10 @@ class Floorplan:
     def _check_no_overlap(self) -> None:
         """Reject interior overlaps between any pair of blocks.
 
-        O(n^2) over block pairs; block-level floorplans have tens of
-        blocks, so a sweep-line would be over-engineering here.
+        O(n^2) over block pairs: about 30k pair tests for a 16x16 grid.
+        The scenario layer shares one floorplan per shape
+        (:meth:`repro.engine.ScenarioSpec.build_soc`), so the scan runs
+        once per shape and process, not once per request.
         """
         for i, a in enumerate(self._blocks):
             for b in self._blocks[i + 1 :]:
@@ -183,6 +190,42 @@ class Floorplan:
             f"Floorplan({self._name!r}, {len(self._blocks)} blocks, "
             f"die {self._outline.width * 1e3:.2f}x{self._outline.height * 1e3:.2f} mm)"
         )
+
+    @cached_property
+    def adjacency(self) -> "AdjacencyMap":
+        """The default-tolerance adjacency map, built on first use.
+
+        Safe to share because the floorplan is immutable: every SoC and
+        thermal network built on this floorplan reads the same map.
+        """
+        from .adjacency import AdjacencyMap  # deferred: adjacency imports us
+
+        return AdjacencyMap(self)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of the thermally relevant geometry (computed once).
+
+        Block order matters (it defines the solver's node indexing) and
+        float coordinates are hashed via ``repr`` so any bit-level
+        difference produces a different key: false cache misses are
+        acceptable, false hits are not.  The floorplan *name* is
+        excluded: two identically shaped dies share a thermal network
+        regardless of what they are called.
+        """
+        digest = hashlib.sha256()
+        for block in self._blocks:
+            rect = block.rect
+            digest.update(
+                f"{block.name}|{rect.x!r}|{rect.y!r}|{rect.width!r}|"
+                f"{rect.height!r};".encode()
+            )
+        outline = self._outline
+        digest.update(
+            f"@{outline.x!r}|{outline.y!r}|{outline.width!r}|"
+            f"{outline.height!r}".encode()
+        )
+        return digest.hexdigest()
 
     def index_of(self, name: str) -> int:
         """Canonical index of the named block (solver node ordering)."""

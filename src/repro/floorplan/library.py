@@ -23,16 +23,21 @@ Three layouts are bundled:
   (their mutual resistance is the one modification M2 removes).
 
 All dimensions in metres; layouts are validated (and, where stated,
-fully tiled) at import time of the calling test or experiment.
+fully tiled) on first use.  Each function builds its floorplan once per
+process and returns that shared immutable object afterwards, so every
+SoC built on a layout shares its adjacency map and fingerprint.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from ..units import mm
 from .floorplan import Block, Floorplan
 from .geometry import Rect
 
 
+@cache
 def alpha15() -> Floorplan:
     """15-block Alpha-21364-class floorplan on a 16 mm x 16 mm die.
 
@@ -92,6 +97,7 @@ ALPHA15_CLASSES = {
 }
 
 
+@cache
 def hypothetical7() -> Floorplan:
     """The 7-core hypothetical system of the paper's Figure 1.
 
@@ -135,6 +141,7 @@ FIG1_CORE_POWER_W = 15.0
 FIG1_POWER_LIMIT_W = 45.0
 
 
+@cache
 def worked_example6() -> Floorplan:
     """The 6-block layout of the paper's Figures 2-4 (session {2,4,5}).
 

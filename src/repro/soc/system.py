@@ -62,7 +62,7 @@ class SocUnderTest:
             raise PowerModelError(
                 f"floorplan blocks without core data: {unpowered}"
             )
-        self._adjacency = AdjacencyMap(floorplan)
+        self._adjacency = floorplan.adjacency
 
     # -- construction from a power profile ----------------------------------------
 
@@ -102,7 +102,7 @@ class SocUnderTest:
 
     @property
     def adjacency(self) -> AdjacencyMap:
-        """Precomputed adjacency map of the floorplan."""
+        """The floorplan's shared adjacency map (:attr:`Floorplan.adjacency`)."""
         return self._adjacency
 
     @property

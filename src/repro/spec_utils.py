@@ -12,6 +12,7 @@ either may import it at module level.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, Mapping
 
 
@@ -75,15 +76,17 @@ def validate_limit_fields(
     stcl_headroom: float | None,
     error_cls: type[Exception],
     prefix: str = "",
+    stc_scale: float | None = None,
 ) -> None:
     """Enforce the shared (TL, STCL) field rules of every spec shape.
 
     Exactly one of the TL pair; ``tl_headroom`` strictly above 1; at
     most one of the STCL pair, each strictly positive; every limit a
     finite number (no temperature reaches a NaN or infinite TL, so such
-    a limit would commit any schedule).  Whether an STCL is *required*
-    depends on the solver's capability flag and is checked by the
-    caller.
+    a limit would commit any schedule); ``stc_scale``, when given, a
+    finite positive number (a NaN scale rejects every core, an infinite
+    one admits every session).  Whether an STCL is *required* depends
+    on the solver's capability flag and is checked by the caller.
     """
     if (tl_c is None) == (tl_headroom is None):
         raise error_cls(f"{prefix}exactly one of tl_c / tl_headroom is required")
@@ -94,8 +97,12 @@ def validate_limit_fields(
         "stcl_headroom": stcl_headroom,
     }
     for name, value in limits.items():
-        if value is not None and not _is_finite_number(value):
+        if value is not None and not is_finite_number(value):
             raise error_cls(f"{prefix}{name} must be a finite number, got {value!r}")
+    if stc_scale is not None and not is_positive_number(stc_scale):
+        raise error_cls(
+            f"{prefix}stc_scale must be a finite positive number, got {stc_scale!r}"
+        )
     if tl_headroom is not None and tl_headroom <= 1.0:
         raise error_cls(
             f"{prefix}tl_headroom must be > 1 (TL at or below the singleton "
@@ -111,8 +118,21 @@ def validate_limit_fields(
         )
 
 
-def _is_finite_number(value: Any) -> bool:
+def is_finite_number(value: Any) -> bool:
+    """True for a finite real number; booleans and non-numbers are not."""
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(value)
     except TypeError:
         return False
+
+
+def is_positive_number(value: Any) -> bool:
+    """True for a finite real number strictly above zero."""
+    return is_finite_number(value) and value > 0.0
+
+
+def is_integer(value: Any) -> bool:
+    """True for an integral number that is not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -88,7 +88,8 @@ def build_thermal_network(
     package:
         Package stack parameters.
     adjacency:
-        Optional precomputed adjacency map (computed when omitted).
+        Optional custom adjacency map (the floorplan's shared map when
+        omitted).
 
     Returns
     -------
@@ -96,7 +97,7 @@ def build_thermal_network(
         Compiled network plus the inputs for downstream use.
     """
     if adjacency is None:
-        adjacency = AdjacencyMap(floorplan)
+        adjacency = floorplan.adjacency
 
     net = ThermalNetwork()
 

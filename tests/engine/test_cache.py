@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.cache import (
+    MODEL_CACHE_ENTRIES,
     ThermalModelCache,
     floorplan_fingerprint,
     model_key,
@@ -133,6 +134,25 @@ class TestThermalModelCache:
         # The oldest entry (1x1) was evicted; re-asking is a miss.
         _, hit = cache.simulator_for(plans[0], DEFAULT_PACKAGE)
         assert not hit
+
+    @staticmethod
+    def _fill(cache, count):
+        plan = grid_floorplan(1, 1)
+        for i in range(count):
+            package = replace(DEFAULT_PACKAGE, convection_resistance=0.3 + 1e-3 * i)
+            cache.simulator_for(plan, package)
+
+    def test_bounded_by_default(self):
+        cache = ThermalModelCache()
+        self._fill(cache, MODEL_CACHE_ENTRIES + 3)
+        assert len(cache) == MODEL_CACHE_ENTRIES
+        assert cache.stats.evictions == 3
+
+    def test_none_still_means_unbounded(self):
+        cache = ThermalModelCache(max_entries=None)
+        self._fill(cache, MODEL_CACHE_ENTRIES + 3)
+        assert len(cache) == MODEL_CACHE_ENTRIES + 3
+        assert cache.stats.evictions == 0
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):

@@ -9,7 +9,9 @@ import threading
 import pytest
 
 from repro.api import ScheduleRequest
+from repro.api.request import report_to_dict
 from repro.engine import ScenarioSpec
+from repro.engine.cache import MODEL_CACHE_ENTRIES
 from repro.errors import ProtocolError, ServiceError
 from repro.service import (
     AsyncServiceClient,
@@ -83,6 +85,54 @@ class TestAsyncClient:
                 assert stats["cache"]["entries"] == 1
 
         run_with_server(scenario)
+
+    def test_model_cache_stays_at_its_default_bound(self):
+        """More networks than the bound: entries stay at it, the oldest is
+        evicted, and re-requesting it rebuilds the model, same report."""
+        requests = [
+            ScheduleRequest(
+                scenario=ScenarioSpec(
+                    kind="grid",
+                    rows=2,
+                    cols=2,
+                    power_seed=1,
+                    convection_resistance=0.3 + 1e-3 * i,
+                ),
+                tl_headroom=1.5,
+                stcl_headroom=2.0,
+            )
+            for i in range(MODEL_CACHE_ENTRIES + 4)
+        ]
+
+        async def scenario(server, service):
+            async with await AsyncServiceClient.connect(port=server.port) as client:
+                first = [await client.submit(request) for request in requests]
+                stats = await client.stats()
+                metrics = await client.metrics_text()
+                again = await client.submit(requests[0])
+                after = await client.stats()
+            return first, stats, metrics, again, after
+
+        first, stats, metrics, again, after = run_with_server(
+            scenario, answer_cache_size=0
+        )
+        assert stats["cache"]["entries"] == MODEL_CACHE_ENTRIES
+        assert stats["cache"]["evictions"] == 4
+        evictions = next(
+            line for line in metrics.splitlines()
+            if line.startswith("repro_model_cache_evictions")
+        )
+        assert float(evictions.split()[-1]) > 0
+        assert not again.cache_hit
+        assert after["cache"]["misses"] == stats["cache"]["misses"] + 1
+
+        def comparable(report):
+            data = report_to_dict(report)
+            for key in ("elapsed_s", "timings", "cache_hit"):
+                del data[key]
+            return data
+
+        assert comparable(again) == comparable(first[0])
 
     def test_stream_yields_in_completion_order(self):
         async def scenario(server, service):
