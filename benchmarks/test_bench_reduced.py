@@ -68,7 +68,7 @@ def test_bench_single_reduced_solve(benchmark, alpha_soc, alpha_simulator):
 
 
 def test_bench_batched_candidate_evaluation(benchmark, alpha_soc, alpha_simulator):
-    """All candidate maps in one GEMM (the phase-A pattern)."""
+    """All candidate maps in one GEMM (the reactive executor's reorder pattern)."""
     alpha_simulator.reduced_operator
     maps = _candidate_maps(alpha_soc)
     batch = benchmark(lambda: alpha_simulator.block_steady_state_batch(maps))

@@ -46,7 +46,7 @@ from ..core.safety import annotate_schedule
 from ..core.scheduler import SchedulerConfig, ScheduleResult, ThermalAwareScheduler
 from ..core.session import TestSchedule
 from ..core.session_model import SessionThermalModel
-from ..errors import RequestError
+from ..errors import RequestError, SchedulingError
 from ..soc.system import SocUnderTest
 from ..thermal.simulator import ThermalSimulator
 
@@ -216,7 +216,12 @@ class ThermalAwareSolver(Solver):
     def solve(
         self, context: SolveContext, params: Mapping[str, Any]
     ) -> tuple[ScheduleResult, dict[str, Any]]:
-        config = SchedulerConfig(**dict(params))
+        try:
+            config = SchedulerConfig(**dict(params))
+        except SchedulingError as exc:
+            raise SchedulingError(
+                f"solver {self.name!r} rejected params {dict(params)!r}: {exc}"
+            ) from None
         scheduler = ThermalAwareScheduler(
             context.soc,
             simulator=context.simulator,

@@ -404,19 +404,13 @@ class Workbench:
             if tl_c is None:
                 assert tl_headroom is not None
                 ambient = soc.package.ambient_c
-                # All singleton sessions in one batched reduced-operator
-                # application (the same trick as the scheduler's phase A).
-                names = list(soc.core_names)
-                batch = simulator.block_steady_state_batch(
-                    [{name: soc[name].test_power_w} for name in names]
-                )
-                peak = float(batch.own_temperatures_c(names).max())
+                # Every core's singleton peak off the reduced operator's
+                # diagonal (as in the scheduler's phase A).
+                own = simulator.solo_block_temperatures_c(soc.test_power_map())
+                peak = float(own.max())
                 tl_c = ambient + tl_headroom * (peak - ambient)
             if stcl is None and stcl_headroom is not None:
-                worst = max(
-                    model.session_thermal_characteristic([name])
-                    for name in soc.core_names
-                )
+                worst = max(model.singleton_stcs(range(len(soc))))
                 if not math.isfinite(worst):
                     raise RequestError(
                         "a core has an infinite singleton STC under the "

@@ -31,6 +31,7 @@ from .serialize import (
 )
 from .scheduler import (
     PAPER_SCHEDULER,
+    PAPER_WEIGHT_FACTOR,
     DiscardedSession,
     ScheduleResult,
     SchedulerConfig,
@@ -39,11 +40,9 @@ from .scheduler import (
 from .session import TestSchedule, TestSession
 from .session_model import (
     PAPER_SESSION_MODEL,
-    SessionGrowth,
     SessionModelConfig,
     SessionThermalModel,
 )
-from .weights import PAPER_WEIGHT_FACTOR, WeightEvent, WeightStore
 
 __all__ = [
     "DiscardedSession",
@@ -61,14 +60,11 @@ __all__ = [
     "ScheduleResult",
     "SchedulerConfig",
     "SessionAudit",
-    "SessionGrowth",
     "SessionModelConfig",
     "SessionThermalModel",
     "TestSchedule",
     "TestSession",
     "ThermalAwareScheduler",
-    "WeightEvent",
-    "WeightStore",
     "annotate_schedule",
     "audit_schedule",
     "dump_jsonl",

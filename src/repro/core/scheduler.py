@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -57,13 +57,19 @@ from ..errors import (
     SchedulingError,
 )
 from ..soc.system import SocUnderTest
+from ..spec_utils import is_finite_number, is_integer, is_positive_number
 from ..thermal.simulator import ThermalSimulator
 from .session import TestSchedule, TestSession
 from .session_model import PAPER_SESSION_MODEL, SessionModelConfig, SessionThermalModel
-from .weights import PAPER_WEIGHT_FACTOR, WeightStore
+
+#: The paper's weight escalation factor (Algorithm 1, line 20).
+PAPER_WEIGHT_FACTOR = 1.1
 
 #: Candidate-scan orders for session growth (paper: input order).
 CandidateOrder = Literal["input", "power_desc", "area_asc", "density_desc"]
+OnStuck = Literal["force", "error"]
+Validation = Literal["steady", "transient"]
+SteadyPath = Literal["reduced", "dense"]
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class SchedulerConfig:
         How ``"steady"`` validations are computed.  ``"reduced"``
         (default) applies the precomputed block-level influence
         operator — one small matvec per candidate session, with phase A
-        batched into a single GEMM.  ``"dense"`` issues a full-network
+        read off the operator's diagonal.  ``"dense"`` issues a full-network
         back-substitution per candidate (the pre-reduced behaviour);
         it exists for equivalence testing and benchmarking, and the two
         agree to solver precision (same factorisation, superposed).
@@ -112,26 +118,47 @@ class SchedulerConfig:
 
     weight_factor: float = PAPER_WEIGHT_FACTOR
     candidate_order: CandidateOrder = "input"
-    on_stuck: Literal["force", "error"] = "force"
+    on_stuck: OnStuck = "force"
     max_discards: int = 10_000
     count_phase_a_effort: bool = False
-    validation: Literal["steady", "transient"] = "steady"
+    validation: Validation = "steady"
     transient_dt_s: float = 1e-2
-    steady_path: Literal["reduced", "dense"] = "reduced"
+    steady_path: SteadyPath = "reduced"
 
     def __post_init__(self) -> None:
-        if self.weight_factor < 1.0:
+        # Request params reach this constructor straight from JSON, so
+        # every field is checked for type as well as range: a NaN cap
+        # never ends the discard loop and a NaN factor poisons weights.
+        if not (is_finite_number(self.weight_factor) and self.weight_factor >= 1.0):
             raise SchedulingError(
-                f"weight_factor must be >= 1.0, got {self.weight_factor!r}"
+                f"weight_factor must be a finite number >= 1.0, got "
+                f"{self.weight_factor!r}"
             )
-        if self.max_discards < 1:
+        if not (is_integer(self.max_discards) and self.max_discards >= 1):
             raise SchedulingError(
-                f"max_discards must be >= 1, got {self.max_discards!r}"
+                f"max_discards must be an integer >= 1, got {self.max_discards!r}"
             )
-        if self.transient_dt_s <= 0.0:
+        if not is_positive_number(self.transient_dt_s):
             raise SchedulingError(
-                f"transient_dt_s must be positive, got {self.transient_dt_s!r}"
+                f"transient_dt_s must be a finite positive number, got "
+                f"{self.transient_dt_s!r}"
             )
+        if not isinstance(self.count_phase_a_effort, bool):
+            raise SchedulingError(
+                f"count_phase_a_effort must be a bool, got "
+                f"{self.count_phase_a_effort!r}"
+            )
+        for name, allowed in (
+            ("candidate_order", get_args(CandidateOrder)),
+            ("on_stuck", get_args(OnStuck)),
+            ("validation", get_args(Validation)),
+            ("steady_path", get_args(SteadyPath)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise SchedulingError(
+                    f"{name} must be one of {', '.join(allowed)}; got {value!r}"
+                )
 
 
 #: Configuration matching the paper exactly.
@@ -253,15 +280,14 @@ class ThermalAwareScheduler:
     config:
         Scheduler tunables (defaults reproduce the paper).
     growth_memo:
-        Optional cross-request memo for :meth:`_grow_session`
-        trajectories, keyed by the exact growth inputs
-        ``(stcl, ordered candidates, their weights)``.  Supplied by the
+        Optional cross-request memo for session-growth passes, keyed by
+        the exact growth inputs ``(stcl, ordered candidates, their
+        weights)`` with cores as floorplan indices.  Supplied by the
         service's request coalescer when several requests share one
         session model: growth is a pure function of those inputs over
-        an immutable model, so replaying a stored trajectory is
-        bit-identical to re-running the loop.  The caller owns the
-        memo's scope — it must never outlive the model instance it was
-        filled against.
+        an immutable model, so replaying a stored pass is bit-identical
+        to re-running it.  The caller owns the memo's scope — it must
+        never outlive the model instance it was filled against.
     """
 
     def __init__(
@@ -318,18 +344,14 @@ class ThermalAwareScheduler:
     def _session_temperatures(
         self, power_map: dict[str, float], duration_s: float, cores: list[str]
     ) -> np.ndarray:
-        """Per-core validation temperatures for one candidate session.
+        """Per-core validation temperatures off the reduced path.
 
         Returns an array aligned with *cores* (Celsius).  ``"steady"``
-        uses the reduced block-level operator (one matvec) or, on the
-        ``"dense"`` path, the cached full-network solve (the paper's
-        M1); ``"transient"`` uses the true transient peak over the
-        session duration starting from ambient.
+        uses the cached full-network solve (the ``"dense"`` path of the
+        paper's M1); ``"transient"`` uses the true transient peak over
+        the session duration starting from ambient.
         """
         if self._config.validation == "steady":
-            if self._use_reduced():
-                field_ = self._simulator.block_steady_state(power_map)
-                return field_.temperatures_for(cores)
             field_ = self._simulator.steady_state(power_map)
             return np.array([field_.temperature_c(c) for c in cores])
         peaks = self._simulator.block_peak_transient_c(
@@ -340,91 +362,62 @@ class ThermalAwareScheduler:
     def best_case_max_temperatures(self) -> tuple[dict[str, float], float]:
         """Simulate the purely sequential schedule (lines 1-3).
 
-        On the reduced steady path, every singleton session is one
-        column of a single batched operator application (one GEMM for
-        the whole of phase A).
+        On the reduced steady path a core tested alone reaches ambient
+        plus its power times its self resistance, so phase A reads the
+        influence operator's diagonal
+        (:meth:`~repro.thermal.simulator.ThermalSimulator.solo_block_temperatures_c`).
 
         Returns
         -------
         (bcmt, effort_s)
-            Per-core best-case max temperature (Celsius) and the
-            simulated time spent (only charged to the effort metric
-            when :attr:`SchedulerConfig.count_phase_a_effort` is set).
+            Per-core best-case max temperature (Celsius), in candidate
+            order, and the simulated time spent (only charged to the
+            effort metric when :attr:`SchedulerConfig.count_phase_a_effort`
+            is set).
         """
-        names = self._ordered(list(self._soc.core_names))
-        effort = sum(self._soc[name].test_time_s for name in names)
+        every = list(self._soc)
+        cores = [every[i] for i in self._candidate_order()]
+        effort = sum(core.test_time_s for core in cores)
         if self._use_reduced():
-            batch = self._simulator.block_steady_state_batch(
-                [{name: self._soc[name].test_power_w} for name in names]
+            own = self._simulator.solo_block_temperatures_c(
+                {core.name: core.test_power_w for core in cores}
             )
-            own = batch.own_temperatures_c(names)
-            return dict(zip(names, own.tolist())), effort
+            return dict(zip((core.name for core in cores), own.tolist())), effort
 
         bcmt: dict[str, float] = {}
-        for name in names:
-            core = self._soc[name]
+        for core in cores:
             temps = self._session_temperatures(
-                {name: core.test_power_w}, core.test_time_s, [name]
+                {core.name: core.test_power_w}, core.test_time_s, [core.name]
             )
-            bcmt[name] = float(temps[0])
+            bcmt[core.name] = float(temps[0])
         return bcmt, effort
 
     # -- phase B helpers -------------------------------------------------------------
 
-    def _ordered(self, names: list[str]) -> list[str]:
+    def _candidate_order(self) -> list[int]:
+        """Every core's floorplan index, in candidate-scan order."""
         order = self._config.candidate_order
+        indices = list(range(len(self._soc)))
         if order == "input":
-            return list(names)
+            return indices
+        power = [core.test_power_w for core in self._soc]
+        area = [block.area for block in self._soc.floorplan]
         if order == "power_desc":
-            return sorted(names, key=lambda n: -self._soc[n].test_power_w)
+            return sorted(indices, key=lambda i: -power[i])
         if order == "area_asc":
-            return sorted(names, key=lambda n: self._soc.floorplan[n].area)
+            return sorted(indices, key=lambda i: area[i])
         if order == "density_desc":
-            return sorted(
-                names,
-                key=lambda n: -self._soc[n].test_power_w / self._soc.floorplan[n].area,
-            )
+            return sorted(indices, key=lambda i: -power[i] / area[i])
         raise SchedulingError(f"unknown candidate order {order!r}")
-
-    def _grow_session(
-        self, pending: list[str], stcl: float, weights: WeightStore
-    ) -> list[str]:
-        """Lines 9-15: greedily admit cores while STC stays within STCL.
-
-        One pass of :class:`~repro.core.session_model.SessionGrowth`:
-        admitting a core only rewires its direct neighbours' escape
-        paths, so pricing a candidate costs O(degree) whatever the
-        session's size, and each decision is exactly the from-scratch
-        ``STC(S + [c]) <= STCL``.
-
-        With a ``growth_memo``, the trajectory is keyed by everything
-        the loop reads — STCL, the ordered candidate list and each
-        candidate's weight (growth only ever reads weights of cores it
-        considers admitting, all of which are in *pending*) — so a memo
-        hit replays exactly what the loop would have produced.
-        """
-        mapping = weights.as_mapping()
-        ordered = self._ordered(pending)
-        key = None
-        if self._growth_memo is not None:
-            key = (
-                stcl,
-                tuple(ordered),
-                tuple(mapping.get(c, 1.0) for c in ordered),
-            )
-            stored = self._growth_memo.get(key)
-            if stored is not None:
-                return list(stored)
-        growth = self._model.start_session(stcl, mapping)
-        session = [candidate for candidate in ordered if growth.try_add(candidate)]
-        if key is not None:
-            self._growth_memo[key] = tuple(session)
-        return session
 
     # -- the full flow ----------------------------------------------------------------
 
     def schedule(self, tl_c: float, stcl: float) -> ScheduleResult:
         """Generate a thermal-safe test schedule.
+
+        Phase B runs on core indices in floorplan order: pending cores,
+        weights and growth passes are index lists, and names appear
+        only in what the result records.
 
         Parameters
         ----------
@@ -451,7 +444,9 @@ class ThermalAwareScheduler:
             raise SchedulingError(f"TL must be finite, got {tl_c!r}")
         if not (math.isfinite(stcl) and stcl > 0.0):
             raise SchedulingError(f"STCL must be positive and finite, got {stcl!r}")
-        solves_before = self._simulator.steady_solve_count
+        config = self._config
+        simulator = self._simulator
+        solves_before = simulator.steady_solve_count
 
         # Phase A: individual-core thermal sanity (lines 1-7).
         bcmt, phase_a_effort = self.best_case_max_temperatures()
@@ -460,37 +455,61 @@ class ThermalAwareScheduler:
                 raise CoreThermalViolationError(name, temperature, tl_c)
 
         # Phase B: session packing (lines 8-28).
-        weights = WeightStore(self._soc.core_names, self._config.weight_factor)
-        pending = list(self._soc.core_names)
+        names = self._soc.core_names
+        power = [core.test_power_w for core in self._soc]
+        test_time = [core.test_time_s for core in self._soc]
+        reduced = self._use_reduced()
+        if reduced:
+            operator = simulator.reduced_operator
+            columns = [operator.index_of(name) for name in names]
+        weights = [1.0] * len(names)
+        pending = self._candidate_order()
         committed: list[TestSession] = []
         discarded: list[DiscardedSession] = []
-        effort_s = phase_a_effort if self._config.count_phase_a_effort else 0.0
+        effort_s = phase_a_effort if config.count_phase_a_effort else 0.0
         forced_singletons = 0
         iteration = 0
 
+        memo = self._growth_memo
         while pending:
             iteration += 1
-            session_cores = self._grow_session(pending, stcl, weights)
-            if not session_cores:
-                if self._config.on_stuck == "error":
+            # Lines 9-15: one growth pass over the pending cores.  A memo
+            # entry is keyed by everything the pass reads (STCL, the
+            # ordered candidates and their weights), so a hit replays
+            # exactly what the pass would have produced.
+            session: Sequence[int]
+            if memo is None:
+                session = self._model.grow_session(pending, stcl, weights)
+            else:
+                key = (stcl, tuple(pending), tuple(weights[i] for i in pending))
+                session = memo.get(key)
+                if session is None:
+                    session = tuple(self._model.grow_session(pending, stcl, weights))
+                    memo[key] = session
+            if not session:
+                in_input_order = sorted(pending)
+                if config.on_stuck == "error":
                     raise ScheduleInfeasibleError(
                         f"no remaining core fits an empty session at STCL={stcl:g} "
-                        f"(pending: {pending}); weights may have escalated past "
-                        f"the limit"
+                        f"(pending: {[names[i] for i in in_input_order]}); weights "
+                        f"may have escalated past the limit"
                     )
-                weight_map = weights.as_mapping()
-                best = min(
-                    pending,
-                    key=lambda c: self._model.session_thermal_characteristic(
-                        [c], weight_map
-                    ),
-                )
-                session_cores = [best]
+                stcs = self._model.singleton_stcs(in_input_order, weights)
+                session = [in_input_order[stcs.index(min(stcs))]]
                 forced_singletons += 1
 
-            duration = self._soc.session_duration_s(session_cores)
-            power_map = self._soc.session_power_map(session_cores)
-            temps = self._session_temperatures(power_map, duration, session_cores)
+            session_cores = [names[i] for i in session]
+            duration = max(test_time[i] for i in session)
+            if reduced:
+                temps = simulator.block_steady_temperatures_c(
+                    [columns[i] for i in session], [power[i] for i in session]
+                )
+            else:
+                temps = self._session_temperatures(
+                    self._soc.session_power_map(session_cores),
+                    duration,
+                    session_cores,
+                )
             effort_s += duration
 
             # Vectorised violator detection: one comparison against TL
@@ -498,35 +517,36 @@ class ThermalAwareScheduler:
             violator_mask = temps >= tl_c
             if violator_mask.any():
                 # Lines 19-22: discard, escalate, retry.
-                violators = tuple(
-                    c for c, bad in zip(session_cores, violator_mask) if bad
-                )
-                weights.penalise_all(violators, iteration)
+                violators = []
+                for i, bad in zip(session, violator_mask.tolist()):
+                    if bad:
+                        weights[i] = weights[i] * config.weight_factor
+                        violators.append(names[i])
                 discarded.append(
                     DiscardedSession(
                         cores=tuple(session_cores),
                         duration_s=duration,
-                        violators=violators,
+                        violators=tuple(violators),
                         max_temperature_c=float(temps.max()),
                         iteration=iteration,
                     )
                 )
-                if len(discarded) >= self._config.max_discards:
+                if len(discarded) >= config.max_discards:
                     raise ScheduleInfeasibleError(
-                        f"exceeded max_discards={self._config.max_discards} at "
+                        f"exceeded max_discards={config.max_discards} at "
                         f"TL={tl_c:g}, STCL={stcl:g}; the weight feedback is not "
-                        f"converging (weight_factor="
-                        f"{self._config.weight_factor:g})"
+                        f"converging (weight_factor={config.weight_factor:g})"
                     )
                 continue
 
             # Lines 24-27: commit the session.
-            session = TestSession(
-                cores=tuple(session_cores), duration_s=duration
-            ).with_temperatures(dict(zip(session_cores, temps.tolist())))
-            committed.append(session)
-            retained = set(session_cores)
-            pending = [c for c in pending if c not in retained]
+            committed.append(
+                TestSession(
+                    cores=tuple(session_cores), duration_s=duration
+                ).with_temperatures(dict(zip(session_cores, temps.tolist())))
+            )
+            retained = set(session)
+            pending = [i for i in pending if i not in retained]
 
         schedule = TestSchedule(committed, self._soc)
         return ScheduleResult(
@@ -537,8 +557,8 @@ class ThermalAwareScheduler:
             effort_s=effort_s,
             max_temperature_c=schedule.max_temperature_c,
             bcmt_c=bcmt,
-            weights=weights.as_mapping(),
+            weights=dict(zip(names, weights)),
             discarded=tuple(discarded),
             forced_singletons=forced_singletons,
-            steady_solves=self._simulator.steady_solve_count - solves_before,
+            steady_solves=simulator.steady_solve_count - solves_before,
         )

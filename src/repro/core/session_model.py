@@ -28,7 +28,8 @@ On top of ``Rth`` the model defines (paper, end of Section 2):
   a temperature-rise estimate for core *i* in session *TS*;
 * the **session thermal characteristic**
   ``STC(TS) = max_i TC_TS(i) * P(i) * W(i)`` over the active cores,
-  with ``W`` the adaptive weights of :mod:`repro.core.weights`.
+  with ``W`` the adaptive weights Algorithm 1 escalates on violations
+  (:mod:`repro.core.scheduler`).
 
 The paper's Figures 3-4 draw only *lateral* paths (the vertical path
 through the spreader is the one the model is trying to keep from
@@ -51,9 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ..errors import SchedulingError
+from ..errors import FloorplanError, SchedulingError
 from ..floorplan.floorplan import Floorplan
 from ..soc.system import SocUnderTest
 from ..spec_utils import is_positive_number
@@ -108,20 +109,6 @@ class SessionModelConfig:
 PAPER_SESSION_MODEL = SessionModelConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class _CorePaths:
-    """One core's escape paths as conductances, in the kernel's sum order.
-
-    ``neighbours`` pairs each lateral neighbour with the conductance of
-    the path to it; ``fixed`` holds the paths no session rewires (die
-    edge, then vertical when the model includes it).  Infinite
-    resistances are left out, as :func:`~repro.units.parallel` skips them.
-    """
-
-    neighbours: tuple[tuple[str, float], ...]
-    fixed: tuple[float, ...]
-
-
 #: (floorplan, package, vertical path) combinations whose escape paths
 #: each process keeps; an entry is a few floats per block and interface.
 CONDUCTANCE_MEMO_SIZE = 64
@@ -132,13 +119,19 @@ class _NetworkPaths:
     """Every power-independent input of the session model for one network.
 
     Shared read-only by all models built on the same floorplan and
-    package with the same vertical-path switch.
+    package with the same vertical-path switch.  ``neighbours[i]`` pairs
+    each lateral neighbour of block *i* (by floorplan index) with the
+    conductance of the path to it, and ``fixed[i]`` holds the paths no
+    session rewires (die edge, then vertical when the model includes
+    it), both in the order :func:`~repro.units.parallel` would sum them;
+    infinite resistances are left out, as ``parallel`` skips them.
     """
 
     neighbour_r: dict[str, dict[str, float]]
     edge_r: dict[str, float]
     vertical_r: dict[str, float]
-    paths: dict[str, _CorePaths]
+    neighbours: tuple[tuple[tuple[int, float], ...], ...]
+    fixed: tuple[tuple[float, ...], ...]
 
 
 @lru_cache(maxsize=CONDUCTANCE_MEMO_SIZE)
@@ -189,21 +182,29 @@ def _network_paths(
         for block in floorplan
     }
 
-    # What the Rth kernel reads per core.
-    paths: dict[str, _CorePaths] = {}
+    # What the pricing kernel reads per core, by floorplan index.
+    neighbours = []
+    fixed = []
     for name in floorplan.block_names:
-        fixed = [edge_r[name]]
-        if include_vertical:
-            fixed.append(vertical_r[name])
-        paths[name] = _CorePaths(
-            neighbours=tuple(
-                (neighbour, 1.0 / resistance)
+        neighbours.append(
+            tuple(
+                (floorplan.index_of(neighbour), 1.0 / resistance)
                 for neighbour, resistance in neighbour_r[name].items()
                 if not math.isinf(resistance)
-            ),
-            fixed=tuple(1.0 / r for r in fixed if not math.isinf(r)),
+            )
         )
-    return _NetworkPaths(neighbour_r, edge_r, vertical_r, paths)
+        fixed_r = [edge_r[name]]
+        if include_vertical:
+            fixed_r.append(vertical_r[name])
+        fixed.append(tuple(1.0 / r for r in fixed_r if not math.isinf(r)))
+    return _NetworkPaths(
+        neighbour_r, edge_r, vertical_r, tuple(neighbours), tuple(fixed)
+    )
+
+
+#: What the pricing kernel reads a power or weight from: a sequence by
+#: core index, or a mapping holding at least the cores it prices.
+_ByIndex = Union[Sequence[float], Mapping[int, float]]
 
 
 class SessionThermalModel:
@@ -213,6 +214,12 @@ class SessionThermalModel:
     (floorplan, package) pair and shared through a bounded per-process
     memo; a model pairs them with its SoC's test powers, and evaluating
     a session is then pure parallel-resistance arithmetic.
+
+    Cores are priced by their floorplan index against a ``bytearray``
+    mask of the active cores.  :meth:`grow_session` and
+    :meth:`singleton_stcs` work in that index space directly (the
+    scheduler's phase B); the name-keyed evaluators convert names at
+    the boundary and go through the same kernel.
 
     Parameters
     ----------
@@ -234,8 +241,10 @@ class SessionThermalModel:
         self._neighbour_r = network.neighbour_r
         self._edge_r = network.edge_r
         self._vertical_r = network.vertical_r
-        self._paths = network.paths
-        self._power = soc.test_power_map()
+        self._neighbours = network.neighbours
+        self._fixed = network.fixed
+        #: Test power per core, by floorplan index.
+        self._power = [core.test_power_w for core in soc]
         # Whether a neighbour's path survives, indexed by "is it active":
         # M3 grounds passive neighbours, M2 drops active ones.
         self._keeps_path = (config.ground_passive, not config.drop_active_active)
@@ -275,39 +284,114 @@ class SessionThermalModel:
 
     # -- the kernel -------------------------------------------------------------------
 
-    def _rth(self, core: str, active: Container[str]) -> float:
-        """``Rth`` of *core* against the set *active*: every evaluator's kernel.
+    def _pricer(
+        self, power: _ByIndex, weights: _ByIndex
+    ) -> Callable[[int, bytearray], float]:
+        """The pricing kernel every evaluator goes through.
 
-        Sums the surviving paths' conductances in the order and with
-        the operations :func:`~repro.units.parallel` would, so the
-        result is the same float as the parallel combination of those
-        resistances.
+        The returned function maps a core index *i* and an active mask
+        (``active[j]`` is 1 for the session's cores) to the unscaled STC
+        term ``P * Rth * P * W`` of core *i*, or ``inf`` when it has no
+        escape path.  ``Rth`` sums the surviving paths' conductances in
+        the order and with the operations :func:`~repro.units.parallel`
+        would, so it is the same float as the parallel combination of
+        those resistances; with unit power and weight the term is
+        ``Rth`` itself, as multiplying by 1.0 is exact.
         """
-        try:
-            paths = self._paths[core]
-        except KeyError:
-            raise SchedulingError(f"unknown core {core!r}") from None
+        neighbours = self._neighbours
+        fixed = self._fixed
         keeps_path = self._keeps_path
-        conductance = 0.0
-        for neighbour, g in paths.neighbours:
-            if keeps_path[neighbour in active]:
-                conductance += g
-        for g in paths.fixed:
-            conductance += g
-        if conductance == 0.0:
-            return math.inf
-        return 1.0 / conductance
+        inf = math.inf
 
-    def _contribution(
-        self, core: str, active: Container[str], weights: Mapping[str, float] | None
-    ) -> float:
-        """Unscaled STC term ``TC * P * W`` of *core* (inf when landlocked)."""
-        rth = self._rth(core, active)
-        if math.isinf(rth):
-            return math.inf
-        power = self._power[core]
-        weight = 1.0 if weights is None else weights.get(core, 1.0)
-        return power * rth * power * weight
+        def price(i: int, active: bytearray) -> float:
+            conductance = 0.0
+            for j, g in neighbours[i]:
+                if keeps_path[active[j]]:
+                    conductance += g
+            for g in fixed[i]:
+                conductance += g
+            if conductance == 0.0:
+                return inf
+            rth = 1.0 / conductance
+            if rth == inf:
+                return inf
+            p = power[i]
+            return p * rth * p * weights[i]
+
+        return price
+
+    def _indices(self, cores: Sequence[str]) -> list[int]:
+        """Floorplan indices of the named cores."""
+        floorplan = self._soc.floorplan
+        try:
+            return [floorplan.index_of(core) for core in cores]
+        except FloorplanError:
+            unknown = next(core for core in cores if core not in floorplan)
+            raise SchedulingError(f"unknown core {unknown!r}") from None
+
+    def _active_mask(self, indices: Iterable[int]) -> bytearray:
+        active = bytearray(len(self._power))
+        for i in indices:
+            active[i] = 1
+        return active
+
+    # -- phase B in index space --------------------------------------------------------
+
+    def grow_session(
+        self, candidates: Iterable[int], stcl: float, weights: Sequence[float]
+    ) -> list[int]:
+        """One greedy growth pass: the cores admitted while ``STC <= stcl``.
+
+        Scans *candidates* (floorplan indices) once, in order, and
+        admits each core whose addition keeps the session's STC within
+        *stcl* under *weights* (one per core, by index); returns the
+        admitted cores in admission order.
+
+        Admitting a core rewires nothing but its direct neighbours'
+        escape paths, so a candidate is priced by recomputing only its
+        own term and those of its already-admitted neighbours: O(degree)
+        whatever the session's size.  That decision is exactly
+        ``STC(session + [candidate]) <= stcl``: every untouched term
+        passed the same check when its core was admitted, and dividing
+        by the positive ``stc_scale`` preserves order, so the maximum
+        fits if and only if each term does.
+        """
+        price = self._pricer(self._power, weights)
+        neighbours = self._neighbours
+        scale = self._config.stc_scale
+        active = bytearray(len(neighbours))
+        session = []
+        for core in candidates:
+            if active[core]:
+                raise SchedulingError(
+                    f"core {self._soc.core_names[core]!r} is already part of "
+                    f"the session"
+                )
+            # The candidate's own Rth does not depend on whether it is active.
+            if not price(core, active) / scale <= stcl:
+                continue
+            active[core] = 1
+            for neighbour, _ in neighbours[core]:
+                if active[neighbour] and not price(neighbour, active) / scale <= stcl:
+                    active[core] = 0
+                    break
+            else:
+                session.append(core)
+        return session
+
+    def singleton_stcs(
+        self, cores: Iterable[int], weights: Sequence[float] | None = None
+    ) -> list[float]:
+        """``STC([i])`` of each core index in *cores* (``inf`` when landlocked).
+
+        *weights*, one per core by index, default to 1.0.
+        """
+        if weights is None:
+            weights = [1.0] * len(self._power)
+        price = self._pricer(self._power, weights)
+        scale = self._config.stc_scale
+        alone = bytearray(len(self._power))
+        return [price(i, alone) / scale for i in cores]
 
     # -- the paper's quantities -----------------------------------------------------
 
@@ -326,20 +410,37 @@ class SessionThermalModel:
         active:
             All cores of the candidate session, including *core*.
         """
-        active_set = frozenset(active)
-        if core not in active_set:
+        active_list = list(active)
+        if core not in active_list:
             raise SchedulingError(
                 f"core {core!r} must be part of the active set it is "
                 f"evaluated against"
             )
-        return self._rth(core, active_set)
+        (i,) = self._indices([core])
+        unit = {i: 1.0}
+        price = self._pricer(unit, unit)
+        return price(i, self._active_mask(self._indices(active_list)))
 
     def thermal_characteristic(self, core: str, active: Iterable[str]) -> float:
         """``TC_TS(core) = P(core) * Rth_TS(core)`` (kelvin-rise estimate)."""
         rth = self.equivalent_resistance(core, active)
         if math.isinf(rth):
             return math.inf
-        return self._power[core] * rth
+        return self._power[self._indices([core])[0]] * rth
+
+    def _terms(
+        self, active: Iterable[str], weights: Mapping[str, float] | None
+    ) -> Iterator[tuple[str, float]]:
+        """Each active core with its unscaled STC term, in *active* order."""
+        names = list(active)
+        indices = self._indices(names)
+        by_index = {
+            i: 1.0 if weights is None else weights.get(name, 1.0)
+            for name, i in zip(names, indices)
+        }
+        price = self._pricer(self._power, by_index)
+        mask = self._active_mask(indices)
+        return ((name, price(i, mask)) for name, i in zip(names, indices))
 
     def session_thermal_characteristic(
         self,
@@ -364,27 +465,14 @@ class SessionThermalModel:
             escape path.
         """
         active_list = list(active)
-        active_set = frozenset(active_list)
-        if len(active_set) != len(active_list):
+        if len(set(active_list)) != len(active_list):
             raise SchedulingError(f"duplicate cores in session: {active_list}")
         worst = 0.0
-        for core in active_list:
-            contribution = self._contribution(core, active_set, weights)
+        for _, contribution in self._terms(active_list, weights):
             if math.isinf(contribution):
                 return math.inf
             worst = max(worst, contribution)
         return worst / self._config.stc_scale
-
-    def start_session(
-        self, stcl: float, weights: Mapping[str, float] | None = None
-    ) -> "SessionGrowth":
-        """An empty session that admits cores while ``STC <= stcl``.
-
-        See :class:`SessionGrowth`: each :meth:`SessionGrowth.try_add`
-        recomputes the candidate and its admitted neighbours only, so
-        its cost does not grow with the session.
-        """
-        return SessionGrowth(self, stcl, weights)
 
     def core_contributions(
         self,
@@ -392,80 +480,8 @@ class SessionThermalModel:
         weights: Mapping[str, float] | None = None,
     ) -> dict[str, float]:
         """Per-core ``TC * P * W / scale`` terms of the STC max (diagnostics)."""
-        active_list = list(active)
-        active_set = frozenset(active_list)
+        scale = self._config.stc_scale
         return {
-            core: self._contribution(core, active_set, weights)
-            / self._config.stc_scale
-            for core in active_list
+            core: contribution / scale
+            for core, contribution in self._terms(active, weights)
         }
-
-
-class SessionGrowth:
-    """One test session grown greedily under a fixed STC limit.
-
-    Created by :meth:`SessionThermalModel.start_session`.  It keeps the
-    admitted cores and their **unscaled** STC contributions
-    (``TC * P * W``).  :meth:`try_add` prices a candidate by recomputing
-    only the contributions it changes: its own and those of its
-    already-admitted neighbours, because admitting a core rewires
-    nothing but its direct neighbours' escape paths.  The candidate is
-    admitted if and only if every recomputed contribution, scaled, is
-    within the limit.
-
-    That decision is exactly ``STC(session + [candidate]) <= stcl``:
-    every contribution left untouched passed the same check when it
-    was stored, and dividing by the positive ``stc_scale`` preserves
-    order, so the maximum fits if and only if each term does.  The
-    stored values are the from-scratch ones (same kernel, same
-    operands), so :meth:`stc` equals
-    ``model.session_thermal_characteristic(cores, weights)`` bit for
-    bit; the test suite asserts both properties over every ablation.
-    """
-
-    def __init__(
-        self,
-        model: SessionThermalModel,
-        stcl: float,
-        weights: Mapping[str, float] | None = None,
-    ) -> None:
-        self._model = model
-        self._stcl = stcl
-        self._weights = weights
-        self._scale = model.config.stc_scale
-        #: Unscaled contribution per admitted core, in admission order.
-        self._contrib: dict[str, float] = {}
-
-    @property
-    def cores(self) -> tuple[str, ...]:
-        """The admitted cores, in admission order."""
-        return tuple(self._contrib)
-
-    def try_add(self, candidate: str) -> bool:
-        """Admit *candidate* if the session's STC stays within the limit."""
-        contrib = self._contrib
-        if candidate in contrib:
-            raise SchedulingError(
-                f"core {candidate!r} is already part of the session"
-            )
-        model = self._model
-        scale = self._scale
-        # The candidate's own Rth does not depend on whether it is active.
-        own = model._contribution(candidate, contrib, self._weights)
-        if not own / scale <= self._stcl:
-            return False
-        contrib[candidate] = own
-        rewired = []
-        for neighbour, _ in model._paths[candidate].neighbours:
-            if neighbour in contrib:
-                value = model._contribution(neighbour, contrib, self._weights)
-                if not value / scale <= self._stcl:
-                    del contrib[candidate]
-                    return False
-                rewired.append((neighbour, value))
-        contrib.update(rewired)
-        return True
-
-    def stc(self) -> float:
-        """STC of the session as admitted so far (0.0 when empty)."""
-        return max(self._contrib.values(), default=0.0) / self._scale

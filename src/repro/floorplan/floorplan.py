@@ -101,6 +101,7 @@ class Floorplan:
             raise FloorplanError("a floorplan must contain at least one block")
         self._name = name
         self._blocks: tuple[Block, ...] = tuple(blocks)
+        self._names: tuple[str, ...] = tuple(b.name for b in self._blocks)
         self._index: dict[str, int] = {}
         for i, block in enumerate(self._blocks):
             if block.name in self._index:
@@ -164,8 +165,8 @@ class Floorplan:
 
     @property
     def block_names(self) -> tuple[str, ...]:
-        """Block names in canonical order."""
-        return tuple(b.name for b in self._blocks)
+        """Block names in canonical order (one tuple, built with the floorplan)."""
+        return self._names
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -14,8 +14,9 @@ The paper's schedules are generated a priori and executed open-loop.
 * **reorder** — at a session boundary in ELEVATED the executor picks,
   among the remaining sessions, the one predicted to heat the current
   hottest block least — a single batched reduced-operator evaluation
-  (`block_steady_state_batch`), the same GEMM the scheduler uses for
-  candidate evaluation.
+  (`block_steady_state_batch`, one GEMM over the remaining sessions'
+  power maps against the influence matrix the scheduler validates
+  candidate sessions with).
 
 Everything is driven by simulated time from the sensor, so a run is
 bit-reproducible: same schedule, config, and step size give the

@@ -112,8 +112,8 @@ class SocUnderTest:
 
     @property
     def core_names(self) -> tuple[str, ...]:
-        """Core names in floorplan (canonical) order."""
-        return tuple(n for n in self._floorplan.block_names)
+        """Core names in floorplan (canonical) order (the floorplan's tuple)."""
+        return self._floorplan.block_names
 
     def __len__(self) -> int:
         return len(self._cores)

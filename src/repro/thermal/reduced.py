@@ -151,23 +151,6 @@ class BlockTemperatureBatch:
         """Hottest block temperature (Celsius) per power map, shape ``(k,)``."""
         return self.ambient_c + self.rises.max(axis=0)
 
-    def own_temperatures_c(self, block_names: Sequence[str]) -> np.ndarray:
-        """Temperature of ``block_names[j]`` under power map ``j``.
-
-        The phase-A access pattern: map ``j`` is a singleton session on
-        core ``j`` and only that core's own temperature is read back.
-        """
-        if len(block_names) != len(self):
-            raise ThermalModelError(
-                f"need one block per power map: got {len(block_names)} names "
-                f"for {len(self)} maps"
-            )
-        try:
-            idx = [self._index[name] for name in block_names]
-        except KeyError as exc:
-            raise ThermalModelError(f"unknown block {exc.args[0]!r}") from None
-        return self.ambient_c + self.rises[idx, np.arange(len(self))]
-
 
 class ReducedSteadyOperator:
     """The block-to-block influence matrix ``R[obs, src] = (G^-1)[obs, src]``.

@@ -322,6 +322,55 @@ class ThermalSimulator:
             index=operator.block_index,
         )
 
+    def block_steady_temperatures_c(
+        self, columns: Sequence[int], watts: Sequence[float]
+    ) -> np.ndarray:
+        """Steady temperatures (Celsius) of the blocks that dissipate power.
+
+        Block ``columns[k]`` of the reduced operator (see
+        :meth:`ReducedSteadyOperator.index_of`) dissipates ``watts[k]``
+        and every other block none; the result is aligned with
+        *columns*.  The same scatter, matvec and gather as
+        :meth:`block_steady_state` followed by
+        :meth:`BlockTemperatureField.temperatures_for`, for a caller
+        that resolved its block names to columns once.  Charges one
+        steady solve.
+        """
+        if min(watts) < 0.0:
+            raise ThermalModelError(
+                f"power injection must be non-negative, got {min(watts)!r} W"
+            )
+        operator = self.reduced_operator
+        power = np.zeros(operator.n_blocks)
+        power[columns] = watts
+        rises = operator.rises(power)
+        self._steady_solve_count += 1
+        return self.ambient_c + rises[columns]
+
+    def solo_block_temperatures_c(
+        self, power_by_block: Mapping[str, float]
+    ) -> np.ndarray:
+        """Each named block's steady temperature (Celsius) when tested alone.
+
+        Block *b* dissipating ``power_by_block[b]`` with every other
+        block passive reaches ``ambient + R[b, b] * P[b]``, read off the
+        reduced operator's diagonal; the result is aligned with the
+        mapping's order.  Bit-identical to the own-temperature entries
+        of :meth:`block_steady_state_batch` over the singleton maps,
+        whose every other product is an exact zero, and charged the
+        same: one steady solve per block.
+        """
+        self._check_block_names(power_by_block)
+        operator = self.reduced_operator
+        columns = [operator.index_of(name) for name in power_by_block]
+        watts = np.fromiter(power_by_block.values(), float, len(columns))
+        if (watts < 0.0).any():
+            raise ThermalModelError(
+                f"power injection must be non-negative, got {watts.min()!r} W"
+            )
+        self._steady_solve_count += len(columns)
+        return self.ambient_c + operator.matrix.diagonal()[columns] * watts
+
     def block_steady_state_batch(
         self, power_maps: Sequence[Mapping[str, float]]
     ) -> BlockTemperatureBatch:

@@ -17,12 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.session_model import PAPER_SESSION_MODEL, SessionThermalModel
+from repro.core.session_model import (
+    PAPER_SESSION_MODEL,
+    SessionModelConfig,
+    SessionThermalModel,
+)
 from repro.floorplan.generator import slicing_floorplan
 from repro.power.generator import uniform_test_power_profile
 from repro.soc.system import SocUnderTest
 from repro.thermal.rc_network import ThermalNetwork
 from repro.thermal.steady_state import SteadyStateSolver
+from repro.units import parallel
 
 
 def star_network_rth(model: SessionThermalModel, core: str, active: list[str]) -> float:
@@ -100,3 +105,33 @@ def test_rth_antitone_in_active_set(n, seed):
         else:
             assert current >= previous - 1e-12
         previous = current
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+    session_bits=st.integers(min_value=1, max_value=2**12 - 1),
+    include_vertical=st.booleans(),
+)
+def test_kernel_equals_parallel_bit_for_bit(n, seed, session_bits, include_vertical):
+    """The pricing kernel sums the surviving paths exactly as
+    :func:`~repro.units.parallel` does: neighbours in adjacency order,
+    then the die edge, then the vertical stack."""
+    plan = slicing_floorplan(n, seed=seed)
+    soc = SocUnderTest.from_profile(plan, uniform_test_power_profile(plan, 10.0))
+    config = SessionModelConfig(include_vertical=include_vertical)
+    model = SessionThermalModel(soc, config)
+    names = list(plan.block_names)
+    active = [name for i, name in enumerate(names) if session_bits >> i & 1]
+    active = active or [names[0]]
+    for core in active:
+        paths = [
+            resistance
+            for neighbour, resistance in model.neighbour_resistances(core).items()
+            if neighbour not in active
+        ]
+        paths.append(model.edge_resistance(core))
+        if include_vertical:
+            paths.append(model.vertical_resistance(core))
+        assert model.equivalent_resistance(core, active) == parallel(*paths)

@@ -119,7 +119,8 @@ class TestSharing:
         clear_geometry_memos()
         fresh = SessionThermalModel(spec.build_soc(), config)
         assert fresh.soc.floorplan is not soc.floorplan
-        assert shared._paths == fresh._paths
+        assert shared._neighbours == fresh._neighbours
+        assert shared._fixed == fresh._fixed
         for core in soc.core_names:
             assert shared.neighbour_resistances(core) == fresh.neighbour_resistances(core)
             assert shared.edge_resistance(core) == fresh.edge_resistance(core)

@@ -80,6 +80,14 @@ class TestSocConstruction:
             make_soc()["zz"]
 
 
+    def test_name_tuples_are_built_once(self):
+        """The floorplan is immutable: one names tuple, shared by the SoC."""
+        soc = make_soc()
+        assert soc.floorplan.block_names == ("C0_0", "C0_1")
+        assert soc.floorplan.block_names is soc.floorplan.block_names
+        assert soc.core_names is soc.floorplan.block_names
+
+
 class TestPowerMaps:
     def test_session_power_map(self):
         soc = make_soc()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.scenarios import ScenarioSpec
 from repro.errors import ThermalModelError
 from repro.floorplan.generator import slicing_floorplan
 from repro.power.generator import PowerGeneratorConfig, generate_power_profile
@@ -150,21 +151,36 @@ class TestSimulatorFastPath:
             np.testing.assert_allclose(
                 field.block_rises, single.block_rises, rtol=0, atol=TOL
             )
-        own = batch.own_temperatures_c(names)
+        # Each block's own temperature off the operator's diagonal is
+        # bit-identical to its entry in the batch: every other product
+        # in the GEMM is an exact zero.
+        own = simulator.solo_block_temperatures_c(soc.test_power_map())
         for j, n in enumerate(names):
-            assert own[j] == pytest.approx(batch.field(j).temperature_c(n))
+            assert own[j] == batch.field(j).temperature_c(n)
         np.testing.assert_array_equal(
             batch.max_temperatures_c(),
             [batch.field(j).max_temperature_c() for j in range(len(batch))],
         )
 
-    def test_batch_own_temperatures_length_mismatch(self, soc, simulator):
-        maps = [{n: soc[n].test_power_w} for n in soc.core_names]
-        batch = simulator.block_steady_state_batch(maps)
-        with pytest.raises(ThermalModelError, match="one block per power map"):
-            batch.own_temperatures_c(list(soc.core_names)[:-1])
+    def test_solo_temperatures_reject_bad_input(self, soc, simulator):
         with pytest.raises(ThermalModelError, match="unknown block"):
-            batch.own_temperatures_c(["nope"] * len(batch))
+            simulator.solo_block_temperatures_c({"nope": 1.0})
+        with pytest.raises(ThermalModelError, match="non-negative"):
+            simulator.solo_block_temperatures_c({soc.core_names[0]: -1.0})
+
+    def test_session_temperatures_match_the_field(self, soc, simulator):
+        operator = simulator.reduced_operator
+        session = list(soc.core_names)[1::2]
+        field = simulator.block_steady_state(soc.session_power_map(session))
+        before = simulator.steady_solve_count
+        temps = simulator.block_steady_temperatures_c(
+            [operator.index_of(n) for n in session],
+            [soc[n].test_power_w for n in session],
+        )
+        assert simulator.steady_solve_count == before + 1
+        np.testing.assert_array_equal(temps, field.temperatures_for(session))
+        with pytest.raises(ThermalModelError, match="non-negative"):
+            simulator.block_steady_temperatures_c([0], [-1.0])
 
     def test_unknown_block_in_power_map(self, simulator):
         with pytest.raises(ThermalModelError, match="unknown block"):
@@ -181,6 +197,8 @@ class TestSimulatorFastPath:
             [{n: soc[n].test_power_w} for n in soc.core_names]
         )
         assert sim.steady_solve_count == 1 + len(soc)
+        sim.solo_block_temperatures_c(soc.test_power_map())
+        assert sim.steady_solve_count == 1 + 2 * len(soc)
 
     def test_operator_is_lazy_and_cached(self, soc):
         sim = ThermalSimulator(soc.floorplan, soc.package, soc.adjacency)
@@ -243,3 +261,17 @@ def test_alpha15_reduced_matches_dense_exhaustively():
         field = batch.field(j)
         for name in soc.floorplan.block_names:
             assert abs(field.temperature_c(name) - dense.temperature_c(name)) <= TOL
+
+
+@pytest.mark.parametrize("size", [8, 12, 16])
+def test_solo_temperatures_equal_the_batch_on_grids(size):
+    """Diagonal read == own entries of the singleton GEMM, bit for bit."""
+    soc = ScenarioSpec(kind="grid", rows=size, cols=size, power_seed=size).build_soc()
+    simulator = ThermalSimulator(soc.floorplan, soc.package, soc.adjacency)
+    names = list(soc.core_names)
+    batch = simulator.block_steady_state_batch(
+        [{n: soc[n].test_power_w} for n in names]
+    )
+    own = simulator.solo_block_temperatures_c(soc.test_power_map())
+    diagonal = batch.rises[np.arange(len(names)), np.arange(len(names))]
+    np.testing.assert_array_equal(own, batch.ambient_c + diagonal)
