@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ScheduleRequest, execute_request
+from repro.api import ScheduleRequest, Workbench
 from repro.reactive import (
     GuardConfig,
     ReactiveConfig,
@@ -41,7 +41,7 @@ SAMPLES = 2_000
 
 @pytest.fixture(scope="module")
 def result():
-    report = execute_request(
+    report = Workbench(use_cache=False).solve(
         ScheduleRequest(soc="worked_example6", tl_c=80.0, stcl=60.0)
     )
     return report.result

@@ -159,7 +159,8 @@ def test_bench_service_vs_batch_runner(burst_requests, fleet_jobs):
 #: a TL-headroom sweep over a 16-core grid, the shape of the paper's
 #: parameter studies served as a burst.  Distinct hashes defeat dedup
 #: and the answer cache, so what the curve isolates is genuinely the
-#: coalescer sharing model builds and memoised GEMMs.
+#: coalescer: fewer executor dispatches, and one SoC and session-model
+#: build shared by the group.
 COALESCE_BURST = 16
 COALESCE_POINTS = (1, 2, 4, 8, 16)
 

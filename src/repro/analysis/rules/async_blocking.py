@@ -10,9 +10,9 @@ flags
 * synchronous file I/O (builtin ``open``, ``Path.read_text`` and
   friends), and
 * *direct solver invocation* — calling the solve entry points
-  (``process_solve``, ``execute_request``, ...) without going through
-  ``run_in_executor``; a steady-state solve is milliseconds of pure
-  numpy that would stall every connected client.
+  (``solve_requests``, ``process_solve``, ``solve_batch``, ...) without
+  going through ``run_in_executor``; a steady-state solve is
+  milliseconds of pure numpy that would stall every connected client.
 
 Code inside nested ``def``s is not flagged: a nested function handed
 to ``run_in_executor`` (the repo's standard pattern) runs on a worker
@@ -61,14 +61,22 @@ BLOCKING_METHODS: dict[str, str] = {
 
 #: Solve entry points that must only run on an executor: each one ends
 #: in a scipy/numpy steady-state solve (or a whole request lifecycle).
+#: Every name is a ``def`` under ``repro`` (a test pins it, so a rename
+#: cannot silently blind the rule).  ``Workbench.solve`` is covered by
+#: its callers here: ``solve`` alone would also match the awaitable
+#: ``ScheduleService.solve``.
 SOLVER_ENTRYPOINTS: frozenset[str] = frozenset(
     {
+        # The service worker path (a solo solve is a group of one).
+        "solve_requests",
         "process_solve",
-        "process_solve_uncached",
-        "solve_request_outcome",
-        "execute_request",
+        # The workbench's group and prebuilt-SoC solves.
+        "solve_batch",
+        "solve_soc",
+        "run_fleet",
+        # The batch runner's per-job workers.
         "run_job",
-        "run_jobs",
+        "_process_job",
     }
 )
 
@@ -138,6 +146,6 @@ class AsyncBlockingRule(LintRule):
                         f"direct solver invocation {called}() inside {where}",
                         hint=(
                             "solves are CPU-bound; dispatch via "
-                            "loop.run_in_executor (see ScheduleService._solve)"
+                            "loop.run_in_executor (see ScheduleService._run_group)"
                         ),
                     )

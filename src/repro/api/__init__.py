@@ -49,8 +49,6 @@ from .solvers import (
 from .workbench import (
     Workbench,
     default_workbench,
-    execute_request,
-    execute_requests_batch,
     solve,
 )
 
@@ -69,8 +67,6 @@ __all__ = [
     "Workbench",
     "available_solvers",
     "default_workbench",
-    "execute_request",
-    "execute_requests_batch",
     "get_solver",
     "register_solver",
     "report_from_dict",

@@ -239,8 +239,10 @@ class SolveReport:
         (``elapsed_s`` etc. then describe the *original* solve).
     timings:
         Per-phase wall-clock durations in seconds (``model_build``,
-        ``limit_resolve``, ``solver``, ``total``; the service adds
-        ``worker``, ``queue_wait`` and ``service_total``).  ``None``
+        ``limit_resolve``, ``solver``, ``total``; a group solve, which
+        is the service's worker path, adds ``worker``, the request's
+        own wall time with its SoC build; the service adds
+        ``queue_wait`` and ``service_total``).  ``None``
         for reports predating the tracing layer — every consumer must
         stay ``None``-safe.
     extras:

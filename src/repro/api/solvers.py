@@ -61,18 +61,14 @@ class SolveContext:
         The built system under test.
     simulator:
         The accurate thermal simulator (possibly a facade over a shared
-        cached model; its effort counters belong to this solve).
+        cached model, shared with the group's earlier requests on the
+        same system; read its effort counters as differences).
     model:
         The STC session thermal model.
     tl_c:
         Resolved absolute temperature limit (Celsius).
     stcl:
         Resolved STC limit (``nan`` when the request carried none).
-    growth_memo:
-        Optional session-growth memo shared across a coalesced batch of
-        requests evaluated against the same session model (see
-        :class:`~repro.core.scheduler.ThermalAwareScheduler`); ``None``
-        for solo solves.
     """
 
     soc: SocUnderTest
@@ -80,7 +76,6 @@ class SolveContext:
     model: SessionThermalModel
     tl_c: float
     stcl: float
-    growth_memo: dict | None = None
 
 
 class Solver(ABC):
@@ -227,7 +222,6 @@ class ThermalAwareSolver(Solver):
             simulator=context.simulator,
             session_model=context.model,
             config=config,
-            growth_memo=context.growth_memo,
         )
         result = scheduler.schedule(context.tl_c, context.stcl)
         return result, {

@@ -1,13 +1,17 @@
-"""The workbench: one front door for single solves and whole fleets.
+"""The workbench: one front door for single solves, groups and whole fleets.
 
 :class:`Workbench` owns a shared
 :class:`~repro.engine.cache.ThermalModelCache` and routes every
-scheduling question through the same path — resolve the system, borrow
-a thermal model from the cache, resolve the limits, dispatch to the
-registered solver, report uniformly.  Single requests
-(:meth:`Workbench.solve`), prebuilt SoCs (:meth:`Workbench.solve_soc`)
-and generated fleets (:meth:`Workbench.run_fleet`, which fans a batch
-out over an execution backend with the *same* cache) all share it.
+scheduling question through one path — build the system, borrow a
+thermal model from the cache, resolve the limits, dispatch to the
+registered solver, report uniformly.  A single request
+(:meth:`Workbench.solve`) is a group of one: a group
+(:meth:`Workbench.solve_batch`) runs the same solve for each request
+over one map of model builds, so requests about the same system share
+its SoC, simulator and session model.  Prebuilt SoCs
+(:meth:`Workbench.solve_soc`) and generated fleets
+(:meth:`Workbench.run_fleet`, which fans a batch out over an execution
+backend with the *same* cache) share the path too.
 
 Module-level :func:`solve` is the one-liner for scripts::
 
@@ -19,9 +23,10 @@ Module-level :func:`solve` is the one-liner for scripts::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -33,7 +38,6 @@ from ..engine.scenarios import ScenarioSpec
 from ..soc.library import ALPHA15_POWER_SEED
 from ..spec_utils import validate_limit_fields
 from ..soc.system import SocUnderTest
-from ..thermal.reduced import MemoizedSteadyOperator
 from ..thermal.simulator import ThermalSimulator
 from .request import ScheduleRequest, SolveReport
 from .solvers import Solver, SolveContext, get_solver
@@ -55,25 +59,36 @@ def _builtin_scenario(name: str) -> ScenarioSpec:
     return ScenarioSpec(kind=name, power_seed=seed)
 
 
-@dataclass
-class _SharedBuild:
-    """One shared model build serving a coalesced group of requests.
+def _annotate(exc: BaseException, **fields: Any) -> None:
+    """Attach effort figures to a failure for error-record consumers."""
+    try:
+        for name, value in fields.items():
+            setattr(exc, name, value)
+    except AttributeError:
+        pass  # exceptions with __slots__ cannot carry extras
 
-    Everything here is either immutable at solve time (the SoC, the
-    session model, the reduced operator behind the simulator facade) or
-    a pure memo keyed by exact inputs (the operator's power memo, the
-    session-growth memo), so pushing many requests through one build
-    sequentially produces bit-identical reports to solo solves.
-    ``cache_hit`` is per-use bookkeeping: the first request of a group
-    reports the underlying model-cache outcome, later ones report what
-    a sequential solo run would have seen (a hit, when caching is on).
+
+#: Identity of one model build: the system (a scenario, or ``None`` for
+#: a prebuilt SoC), whether the session model has the vertical path,
+#: and the STC scale.
+_BuildKey = tuple[ScenarioSpec | None, bool, float]
+
+
+@dataclass(frozen=True)
+class _Build:
+    """One system's model build, shared by the requests of one call.
+
+    The SoC, the simulator facade and the session model are immutable
+    at solve time (the facade's effort counter is read as a
+    before/after difference), so requests solved one after another over
+    one build get the reports they would get alone.  ``cache_hit`` is
+    the model-cache outcome of the build's first use.
     """
 
     soc: SocUnderTest
     simulator: ThermalSimulator
     model: SessionThermalModel
     cache_hit: bool
-    growth_memo: dict = field(default_factory=dict)
 
 
 class Workbench:
@@ -103,28 +118,6 @@ class Workbench:
         """The shared thermal-model cache (``None`` when disabled)."""
         return self._cache
 
-    # -- system resolution -----------------------------------------------------------
-
-    def _resolve_system(
-        self, request: ScheduleRequest
-    ) -> tuple[SocUnderTest, float, bool]:
-        """Build the SoC and its model defaults (stc scale, vertical path)."""
-        if request.soc is not None:
-            scenario = _builtin_scenario(request.soc)
-        else:
-            scenario = request.scenario
-            assert scenario is not None  # __post_init__ guarantees one source
-        return (
-            scenario.build_soc(),
-            scenario.default_stc_scale(),
-            scenario.needs_vertical_path(),
-        )
-
-    def _simulator_for(self, soc: SocUnderTest) -> tuple[ThermalSimulator, bool]:
-        if self._cache is not None:
-            return self._cache.simulator_for(soc.floorplan, soc.package, soc.adjacency)
-        return ThermalSimulator(soc.floorplan, soc.package, soc.adjacency), False
-
     # -- the unified solve path --------------------------------------------------------
 
     def solve(self, request: ScheduleRequest) -> SolveReport:
@@ -139,71 +132,50 @@ class Workbench:
             Whatever the solver itself raises (infeasible limits,
             phase-A violations, ...).
         """
-        solver = get_solver(request.solver)
-        solver.validate_params(request.params)
-        if solver.needs_stcl and not request.has_stcl:
-            raise RequestError(
-                f"solver {request.solver!r} needs an STCL; set stcl= or "
-                f"stcl_headroom= on the request"
-            )
-        soc, default_scale, needs_vertical = self._resolve_system(request)
-        return self._execute(
-            solver=solver,
-            request=request,
-            soc=soc,
-            params=request.params,
-            tl_c=request.tl_c,
-            tl_headroom=request.tl_headroom,
-            stcl=request.stcl,
-            stcl_headroom=request.stcl_headroom,
-            include_vertical=request.include_vertical or needs_vertical,
-            stc_scale=(
-                request.stc_scale if request.stc_scale is not None else default_scale
-            ),
-        )
+        return self._solve(request, {})
 
     def solve_batch(
         self, requests: Sequence[ScheduleRequest]
     ) -> list[SolveReport | BaseException]:
-        """Answer a coalesced group of requests through shared model builds.
+        """Answer a group of requests over shared model builds.
 
-        Requests are processed **sequentially** against shared
-        artefacts: one SoC + session model per distinct
-        ``(scenario, include_vertical, stc_scale)``, one simulator
-        (with a :class:`~repro.thermal.reduced.MemoizedSteadyOperator`
-        and a shared session-growth memo) per distinct thermal network
-        — so repeated GEMM inputs across the group are answered from
-        memory, bit-identical to solo solves by construction (a memo
-        hit replays the exact array a solo solve computes; nothing is
-        cross-request column-stacked).
+        Requests run **sequentially** through the solve behind
+        :meth:`solve`, over one map of model builds for the whole call:
+        one SoC, simulator and session model per distinct
+        ``(scenario, include_vertical, stc_scale)``.  Each report equals
+        the report of a solo solve, ``elapsed_s`` and ``timings`` aside;
+        a reused build reports what the solo solve after it would see —
+        a model-cache hit, when caching is on.
 
-        Per-request failures are returned in place as the raised
-        exception (annotated with ``solve_elapsed_s`` /
-        ``solve_steady_solves`` / ``solve_cache_hit`` where possible)
+        Each answer carries its own wall time in this call, SoC build
+        included: a report as its ``worker`` phase, a failure as
+        ``solve_elapsed_s``.  Per-request failures are returned in
+        place as the raised exception (also annotated with
+        ``solve_steady_solves`` / ``solve_cache_hit`` where possible),
         so one infeasible request never poisons its group.
         """
-        shares: dict[tuple[ScenarioSpec, bool, float], _SharedBuild] = {}
-        sims: dict[tuple, ThermalSimulator] = {}
+        builds: dict[_BuildKey, _Build] = {}
         results: list[SolveReport | BaseException] = []
         for request in requests:
             start = time.perf_counter()
             try:
-                results.append(self._solve_one_shared(request, shares, sims))
+                report = self._solve(request, builds)
             except Exception as exc:
-                try:
-                    setattr(exc, "solve_elapsed_s", time.perf_counter() - start)
-                except AttributeError:
-                    pass  # exceptions with __slots__ cannot carry extras
+                _annotate(exc, solve_elapsed_s=time.perf_counter() - start)
                 results.append(exc)
+                continue
+            worker_s = time.perf_counter() - start
+            results.append(
+                dataclasses.replace(
+                    report, timings={**(report.timings or {}), "worker": worker_s}
+                )
+            )
         return results
 
-    def _solve_one_shared(
-        self,
-        request: ScheduleRequest,
-        shares: dict[tuple[ScenarioSpec, bool, float], _SharedBuild],
-        sims: dict[tuple, ThermalSimulator],
+    def _solve(
+        self, request: ScheduleRequest, builds: dict[_BuildKey, _Build]
     ) -> SolveReport:
-        """One request of a coalesced group (mirrors :meth:`solve`)."""
+        """One request over the call's model builds."""
         solver = get_solver(request.solver)
         solver.validate_params(request.params)
         if solver.needs_stcl and not request.has_stcl:
@@ -216,58 +188,30 @@ class Workbench:
         else:
             scenario = request.scenario
             assert scenario is not None  # __post_init__ guarantees one source
-        include_vertical = request.include_vertical or scenario.needs_vertical_path()
-        stc_scale = (
-            request.stc_scale
-            if request.stc_scale is not None
-            else scenario.default_stc_scale()
+        key = (
+            scenario,
+            request.include_vertical or scenario.needs_vertical_path(),
+            (
+                request.stc_scale
+                if request.stc_scale is not None
+                else scenario.default_stc_scale()
+            ),
         )
-        build_key = (scenario, include_vertical, stc_scale)
-        shared = shares.get(build_key)
-        if shared is None:
-            soc = scenario.build_soc()
-            sim_key = scenario.thermal_key()
-            simulator = sims.get(sim_key)
-            if simulator is None:
-                base, cache_hit = self._simulator_for(soc)
-                simulator = ThermalSimulator.from_handles(
-                    base.model,
-                    base.steady_solver,
-                    MemoizedSteadyOperator(base.reduced_operator),
-                )
-                sims[sim_key] = simulator
-            else:
-                cache_hit = self._cache is not None
-            shared = _SharedBuild(
-                soc=soc,
-                simulator=simulator,
-                model=SessionThermalModel(
-                    soc,
-                    SessionModelConfig(
-                        include_vertical=include_vertical, stc_scale=stc_scale
-                    ),
-                ),
-                cache_hit=cache_hit,
-            )
-            shares[build_key] = shared
-        try:
-            return self._execute(
-                solver=solver,
-                request=request,
-                soc=shared.soc,
-                params=request.params,
-                tl_c=request.tl_c,
-                tl_headroom=request.tl_headroom,
-                stcl=request.stcl,
-                stcl_headroom=request.stcl_headroom,
-                include_vertical=include_vertical,
-                stc_scale=stc_scale,
-                shared=shared,
-            )
-        finally:
-            # The next request reusing this build sees what a
-            # sequential solo run would: a model-cache hit (when on).
-            shared.cache_hit = self._cache is not None
+        build = builds.get(key)
+        return self._execute(
+            solver=solver,
+            request=request,
+            # Built outside the request's trace: a worker's wall time
+            # shows it as the gap between its ``worker`` and ``total``.
+            soc=scenario.build_soc() if build is None else build.soc,
+            builds=builds,
+            key=key,
+            params=request.params,
+            tl_c=request.tl_c,
+            tl_headroom=request.tl_headroom,
+            stcl=request.stcl,
+            stcl_headroom=request.stcl_headroom,
+        )
 
     def solve_soc(
         self,
@@ -308,14 +252,31 @@ class Workbench:
             solver=solver_obj,
             request=None,
             soc=soc,
+            builds={},
+            key=(None, include_vertical, stc_scale),
             params=params,
             tl_c=tl_c,
             tl_headroom=tl_headroom,
             stcl=stcl,
             stcl_headroom=stcl_headroom,
-            include_vertical=include_vertical,
-            stc_scale=stc_scale,
         )
+
+    def _build(
+        self, soc: SocUnderTest, include_vertical: bool, stc_scale: float
+    ) -> _Build:
+        """The SoC's simulator (from the model cache when on) and session model."""
+        if self._cache is not None:
+            simulator, cache_hit = self._cache.simulator_for(
+                soc.floorplan, soc.package, soc.adjacency
+            )
+        else:
+            simulator = ThermalSimulator(soc.floorplan, soc.package, soc.adjacency)
+            cache_hit = False
+        model = SessionThermalModel(
+            soc,
+            SessionModelConfig(include_vertical=include_vertical, stc_scale=stc_scale),
+        )
+        return _Build(soc, simulator, model, cache_hit)
 
     def _execute(
         self,
@@ -323,124 +284,78 @@ class Workbench:
         solver: Solver,
         request: ScheduleRequest | None,
         soc: SocUnderTest,
+        builds: dict[_BuildKey, _Build],
+        key: _BuildKey,
         params: Mapping[str, Any],
         tl_c: float | None,
         tl_headroom: float | None,
         stcl: float | None,
         stcl_headroom: float | None,
-        include_vertical: bool,
-        stc_scale: float,
-        shared: _SharedBuild | None = None,
     ) -> SolveReport:
+        """Solve over the build *key* names, making it from *soc* if new."""
         start = time.perf_counter()
         trace = RequestTrace()
         with trace.phase("model_build"):
-            if shared is not None:
-                simulator, cache_hit = shared.simulator, shared.cache_hit
-                model = shared.model
+            build = builds.get(key)
+            if build is None:
+                build = builds[key] = self._build(soc, key[1], key[2])
+                cache_hit = build.cache_hit
             else:
-                simulator, cache_hit = self._simulator_for(soc)
-                model = SessionThermalModel(
-                    soc,
-                    SessionModelConfig(
-                        include_vertical=include_vertical, stc_scale=stc_scale
-                    ),
-                )
+                cache_hit = self._cache is not None
+        soc, simulator = build.soc, build.simulator
         solves_before = simulator.steady_solve_count
         try:
-            return self._resolve_and_solve(
-                solver=solver,
-                request=request,
+            with trace.phase("limit_resolve"):
+                if tl_c is None:
+                    assert tl_headroom is not None
+                    ambient = soc.package.ambient_c
+                    # Every core's singleton peak off the reduced
+                    # operator's diagonal (as in the scheduler's phase A).
+                    own = simulator.solo_block_temperatures_c(soc.test_power_map())
+                    peak = float(own.max())
+                    tl_c = ambient + tl_headroom * (peak - ambient)
+                if stcl is None and stcl_headroom is not None:
+                    worst = max(build.model.singleton_stcs(range(len(soc))))
+                    if not math.isfinite(worst):
+                        raise RequestError(
+                            "a core has an infinite singleton STC under the "
+                            "lateral-only session model (isolated block on a "
+                            "non-tiling floorplan); set include_vertical=True"
+                        )
+                    stcl = stcl_headroom * worst
+            context = SolveContext(
                 soc=soc,
-                params=params,
-                tl_c=tl_c,
-                tl_headroom=tl_headroom,
-                stcl=stcl,
-                stcl_headroom=stcl_headroom,
                 simulator=simulator,
-                model=model,
-                cache_hit=cache_hit,
-                solves_before=solves_before,
-                start=start,
-                trace=trace,
-                growth_memo=None if shared is None else shared.growth_memo,
+                model=build.model,
+                tl_c=float(tl_c),
+                stcl=math.nan if stcl is None else float(stcl),
             )
+            try:
+                with trace.phase("solver"):
+                    result, extras = solver.solve(context, params)
+            except ReproError:
+                raise
+            except (TypeError, ValueError) as exc:
+                # validate_params only vets key names; value coercion
+                # happens inside the solver.  Surface bad values as the
+                # library's own error so batch fleets record them
+                # instead of dying and the CLI prints them instead of a
+                # traceback.
+                raise RequestError(
+                    f"solver {solver.name!r} rejected params "
+                    f"{dict(params)!r}: {exc}"
+                ) from exc
         except Exception as exc:
             # Error-record consumers (the batch runner) still want the
             # effort spent before the failure; exceptions carry it out.
             # Any exception type: run_job records non-ReproError solver
             # bugs too, and their effort must not read as zero.
-            try:
-                setattr(
-                    exc,
-                    "solve_steady_solves",
-                    simulator.steady_solve_count - solves_before,
-                )
-                setattr(exc, "solve_cache_hit", cache_hit)
-            except AttributeError:
-                pass  # exceptions with __slots__ cannot carry extras
+            _annotate(
+                exc,
+                solve_steady_solves=simulator.steady_solve_count - solves_before,
+                solve_cache_hit=cache_hit,
+            )
             raise
-
-    def _resolve_and_solve(
-        self,
-        *,
-        solver: Solver,
-        request: ScheduleRequest | None,
-        soc: SocUnderTest,
-        params: Mapping[str, Any],
-        tl_c: float | None,
-        tl_headroom: float | None,
-        stcl: float | None,
-        stcl_headroom: float | None,
-        simulator: ThermalSimulator,
-        model: SessionThermalModel,
-        cache_hit: bool,
-        solves_before: int,
-        start: float,
-        trace: RequestTrace,
-        growth_memo: dict | None = None,
-    ) -> SolveReport:
-        with trace.phase("limit_resolve"):
-            if tl_c is None:
-                assert tl_headroom is not None
-                ambient = soc.package.ambient_c
-                # Every core's singleton peak off the reduced operator's
-                # diagonal (as in the scheduler's phase A).
-                own = simulator.solo_block_temperatures_c(soc.test_power_map())
-                peak = float(own.max())
-                tl_c = ambient + tl_headroom * (peak - ambient)
-            if stcl is None and stcl_headroom is not None:
-                worst = max(model.singleton_stcs(range(len(soc))))
-                if not math.isfinite(worst):
-                    raise RequestError(
-                        "a core has an infinite singleton STC under the "
-                        "lateral-only session model (isolated block on a "
-                        "non-tiling floorplan); set include_vertical=True"
-                    )
-                stcl = stcl_headroom * worst
-
-        context = SolveContext(
-            soc=soc,
-            simulator=simulator,
-            model=model,
-            tl_c=float(tl_c),
-            stcl=math.nan if stcl is None else float(stcl),
-            growth_memo=growth_memo,
-        )
-        try:
-            with trace.phase("solver"):
-                result, extras = solver.solve(context, params)
-        except ReproError:
-            raise
-        except (TypeError, ValueError) as exc:
-            # validate_params only vets key names; value coercion
-            # happens inside the solver.  Surface bad values as the
-            # library's own error so batch fleets record them instead
-            # of dying and the CLI prints them instead of a traceback.
-            raise RequestError(
-                f"solver {solver.name!r} rejected params "
-                f"{dict(params)!r}: {exc}"
-            ) from exc
         elapsed_s = time.perf_counter() - start
         # "total" is the same wall clock as elapsed_s, so phase sums
         # and the headline number can never disagree.
@@ -508,33 +423,3 @@ def solve(request: ScheduleRequest) -> SolveReport:
     once.
     """
     return default_workbench().solve(request)
-
-
-def execute_request(
-    request: ScheduleRequest, cache: ThermalModelCache | None = None
-) -> SolveReport:
-    """One-shot execution path used by the batch runner's workers.
-
-    Parameters
-    ----------
-    request:
-        The question.
-    cache:
-        The worker's model cache (``None`` builds a throwaway network).
-    """
-    return Workbench(cache=cache, use_cache=cache is not None).solve(request)
-
-
-def execute_requests_batch(
-    requests: Sequence[ScheduleRequest],
-    cache: ThermalModelCache | None = None,
-) -> list[SolveReport | BaseException]:
-    """Batch execution path used by the service's request coalescer.
-
-    One :meth:`Workbench.solve_batch` over the whole group: shared
-    model builds and memoised GEMMs, per-request reports (or in-place
-    exceptions) bit-identical to solo :func:`execute_request` calls.
-    """
-    return Workbench(cache=cache, use_cache=cache is not None).solve_batch(
-        requests
-    )

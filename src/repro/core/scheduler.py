@@ -279,15 +279,6 @@ class ThermalAwareScheduler:
         omitted).
     config:
         Scheduler tunables (defaults reproduce the paper).
-    growth_memo:
-        Optional cross-request memo for session-growth passes, keyed by
-        the exact growth inputs ``(stcl, ordered candidates, their
-        weights)`` with cores as floorplan indices.  Supplied by the
-        service's request coalescer when several requests share one
-        session model: growth is a pure function of those inputs over
-        an immutable model, so replaying a stored pass is bit-identical
-        to re-running it.  The caller owns the memo's scope — it must
-        never outlive the model instance it was filled against.
     """
 
     def __init__(
@@ -297,7 +288,6 @@ class ThermalAwareScheduler:
         session_model: SessionThermalModel | None = None,
         session_model_config: SessionModelConfig = PAPER_SESSION_MODEL,
         config: SchedulerConfig = PAPER_SCHEDULER,
-        growth_memo: dict | None = None,
     ) -> None:
         self._soc = soc
         self._simulator = (
@@ -311,7 +301,6 @@ class ThermalAwareScheduler:
             else SessionThermalModel(soc, session_model_config)
         )
         self._config = config
-        self._growth_memo = growth_memo
 
     @property
     def soc(self) -> SocUnderTest:
@@ -470,22 +459,10 @@ class ThermalAwareScheduler:
         forced_singletons = 0
         iteration = 0
 
-        memo = self._growth_memo
         while pending:
             iteration += 1
-            # Lines 9-15: one growth pass over the pending cores.  A memo
-            # entry is keyed by everything the pass reads (STCL, the
-            # ordered candidates and their weights), so a hit replays
-            # exactly what the pass would have produced.
-            session: Sequence[int]
-            if memo is None:
-                session = self._model.grow_session(pending, stcl, weights)
-            else:
-                key = (stcl, tuple(pending), tuple(weights[i] for i in pending))
-                session = memo.get(key)
-                if session is None:
-                    session = tuple(self._model.grow_session(pending, stcl, weights))
-                    memo[key] = session
+            # Lines 9-15: one growth pass over the pending cores.
+            session: Sequence[int] = self._model.grow_session(pending, stcl, weights)
             if not session:
                 in_input_order = sorted(pending)
                 if config.on_stuck == "error":

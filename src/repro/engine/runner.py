@@ -2,7 +2,7 @@
 
 :func:`run_job` is the single-job execution path: convert the job to a
 :class:`~repro.api.ScheduleRequest`, dispatch it through the solver
-registry via :func:`repro.api.execute_request` (which builds the
+registry via :meth:`repro.api.Workbench.solve` (which builds the
 scenario, borrows a thermal model from the cache and resolves limits),
 and never raise — infeasible scenarios become ``status="error"``
 records instead of killing the fleet.  :class:`BatchRunner` maps it over an execution
@@ -49,11 +49,13 @@ def run_job(spec: JobSpec, cache: ThermalModelCache | None = None) -> JobResult:
         Shared thermal-model cache; when omitted the job builds (and
         factorises) its own network.
     """
-    from ..api.workbench import execute_request  # deferred: api imports engine
+    from ..api.workbench import Workbench  # deferred: api imports engine
 
     start = time.perf_counter()
     try:
-        report = execute_request(spec.to_request(), cache=cache)
+        report = Workbench(cache=cache, use_cache=cache is not None).solve(
+            spec.to_request()
+        )
     # Catch everything, not just ReproError: a buggy third-party solver
     # registered via register_solver must not kill a 1000-job fleet and
     # discard the results already computed.
@@ -92,19 +94,14 @@ def run_job(spec: JobSpec, cache: ThermalModelCache | None = None) -> JobResult:
     )
 
 
-def _process_run_job(spec: JobSpec) -> JobResult:
+def _process_job(spec: JobSpec, use_cache: bool = True) -> JobResult:
     """Module-level (hence picklable) worker for the process backend.
 
     The per-process cache lives in :func:`~repro.engine.cache.process_local_cache`
     so batch workers and scheduling-service workers sharing a process
-    also share warm models.
+    also share warm models; ``use_cache=False`` runs use none.
     """
-    return run_job(spec, process_local_cache())
-
-
-def _process_run_job_uncached(spec: JobSpec) -> JobResult:
-    """Process-backend worker for ``use_cache=False`` runs."""
-    return run_job(spec, None)
+    return run_job(spec, process_local_cache() if use_cache else None)
 
 
 @dataclass(frozen=True)
@@ -313,10 +310,8 @@ class BatchRunner:
 
         if self._backend.shares_memory:
             worker = partial(run_job, cache=self._cache)
-        elif self._cache is not None:
-            worker = _process_run_job
         else:
-            worker = _process_run_job_uncached
+            worker = partial(_process_job, use_cache=self._cache is not None)
 
         start = time.perf_counter()
         results = tuple(self._backend.map(worker, list(jobs)))

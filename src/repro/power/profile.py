@@ -15,6 +15,7 @@ from typing import Iterator, Mapping
 
 from ..errors import PowerModelError
 from ..floorplan.floorplan import Floorplan
+from ..spec_utils import is_positive_number
 
 #: The multiplier range the paper quotes for test-vs-functional power.
 PAPER_MULTIPLIER_RANGE = (1.5, 8.0)
@@ -39,15 +40,15 @@ class CorePower:
     test_w: float
 
     def __post_init__(self) -> None:
-        if self.functional_w <= 0.0:
+        if not is_positive_number(self.functional_w):
             raise PowerModelError(
-                f"core {self.name!r}: functional power must be positive, "
-                f"got {self.functional_w!r}"
+                f"core {self.name!r}: functional power must be positive "
+                f"and finite, got {self.functional_w!r}"
             )
-        if self.test_w <= 0.0:
+        if not is_positive_number(self.test_w):
             raise PowerModelError(
-                f"core {self.name!r}: test power must be positive, "
-                f"got {self.test_w!r}"
+                f"core {self.name!r}: test power must be positive and "
+                f"finite, got {self.test_w!r}"
             )
 
     @property
@@ -191,8 +192,10 @@ class PowerProfile:
 
     def scaled(self, factor: float, name: str | None = None) -> "PowerProfile":
         """A copy with every power multiplied by *factor* (calibration aid)."""
-        if factor <= 0.0:
-            raise PowerModelError(f"scale factor must be positive, got {factor!r}")
+        if not is_positive_number(factor):
+            raise PowerModelError(
+                f"scale factor must be positive and finite, got {factor!r}"
+            )
         return PowerProfile(
             [
                 CorePower(c.name, c.functional_w * factor, c.test_w * factor)

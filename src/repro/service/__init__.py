@@ -56,7 +56,7 @@ from .archive import (
     outcome_record,
 )
 from .client import AsyncServiceClient, ServiceClient
-from .execution import SolveOutcome, solve_request_outcome
+from .execution import SolveOutcome, solve_requests
 from .fleet import (
     ChaosProxy,
     CircuitBreaker,
@@ -154,7 +154,7 @@ __all__ = [
     "render_metrics_text",
     "render_summary_table",
     "report_frame",
-    "solve_request_outcome",
+    "solve_requests",
     "stats_frame",
     "submit_frame",
     "summarize_archives",

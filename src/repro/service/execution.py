@@ -1,10 +1,11 @@
 """Worker-pool execution path of the scheduling service.
 
-A worker takes one :class:`~repro.api.ScheduleRequest` and returns a
-:class:`SolveOutcome` — *always*, never an exception: the pool boundary
-is exactly where the batch engine's "failures become records" rule
-applies, so one infeasible request cannot poison a worker or lose the
-queue position of the requests behind it.
+A worker takes a group of :class:`~repro.api.ScheduleRequest`\\ s — a
+single request is a group of one — and returns one
+:class:`SolveOutcome` per request, *always*, never an exception: the
+pool boundary is exactly where the batch engine's "failures become
+records" rule applies, so one infeasible request cannot poison a
+worker, its group, or the queue position of the requests behind it.
 
 Workers reuse the engine's execution substrate: thread workers share the
 service's :class:`~repro.engine.cache.ThermalModelCache`, process
@@ -16,13 +17,12 @@ and even interleaved batch runs.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from ..api.request import ScheduleRequest, SolveReport
-from ..api.workbench import execute_request, execute_requests_batch
+from ..api.workbench import Workbench
 from ..engine.cache import ThermalModelCache, process_local_cache
 
 
@@ -78,53 +78,28 @@ def error_outcome(exc: BaseException, elapsed_s: float) -> SolveOutcome:
     )
 
 
-def solve_request_outcome(
-    request: ScheduleRequest, cache: ThermalModelCache | None = None
-) -> SolveOutcome:
-    """Execute one request; failures become error outcomes, not raises."""
-    start = time.perf_counter()
-    try:
-        report = execute_request(request, cache=cache)
-    # Catch everything, not just ReproError: a buggy registered solver
-    # must not take down a long-lived service worker.
-    except Exception as exc:
-        return error_outcome(exc, time.perf_counter() - start)
-    elapsed_s = time.perf_counter() - start
-    # The engine-side wall time used to be discarded on this path; carry
-    # it as the "worker" phase so batch and service reports compare.
-    report = dataclasses.replace(
-        report, timings={**(report.timings or {}), "worker": elapsed_s}
-    )
-    return SolveOutcome(
-        status="ok",
-        report=report,
-        error=None,
-        error_type=None,
-        elapsed_s=elapsed_s,
-        steady_solves=report.steady_solves,
-        cache_hit=report.cache_hit,
-    )
-
-
-def solve_requests_batch(
+def solve_requests(
     requests: Sequence[ScheduleRequest],
     cache: ThermalModelCache | None = None,
 ) -> list[SolveOutcome]:
-    """Execute one coalesced group; one outcome per request, in order.
+    """Execute one group of requests; one outcome per request, in order.
 
-    Backed by :func:`~repro.api.workbench.execute_requests_batch`:
-    every request in the group is evaluated sequentially against
-    shared model builds and memoised GEMMs, so the reports are
-    bit-identical to solo solves while the group amortises the model
-    build and repeated linear algebra.  Per-request failures come back
-    as per-request error outcomes — a mid-batch infeasible request
-    never poisons its neighbours.
+    Backed by :meth:`~repro.api.Workbench.solve_batch`: the requests
+    run one after another over shared model builds, with reports equal
+    to solo solves.  Each request's own wall time in the worker, SoC
+    build included, is its ``worker`` phase and its outcome's
+    ``elapsed_s``.  Per-request failures come back as per-request error
+    outcomes — a mid-group infeasible request never poisons its
+    neighbours.
     """
     start = time.perf_counter()
     try:
-        results = execute_requests_batch(requests, cache=cache)
-    # A failure to even start the batch (a buggy solver's import-time
-    # explosion, a broken cache) still must answer every job.
+        results = Workbench(cache=cache, use_cache=cache is not None).solve_batch(
+            requests
+        )
+    # Catch everything, not just ReproError: a buggy registered solver
+    # must not take down a long-lived service worker, and a failure to
+    # even start the group still must answer every job.
     except Exception as exc:
         elapsed_s = time.perf_counter() - start
         return [error_outcome(exc, elapsed_s) for _ in requests]
@@ -135,45 +110,27 @@ def solve_requests_batch(
                 error_outcome(item, getattr(item, "solve_elapsed_s", 0.0))
             )
             continue
-        # Engine wall time as the "worker" phase, mirroring the solo
-        # path (per-request, not the group's wall: phase nesting
-        # total <= worker <= service_total must keep holding).
-        report = dataclasses.replace(
-            item, timings={**(item.timings or {}), "worker": item.elapsed_s}
-        )
+        assert item.timings is not None  # solve_batch stamps "worker"
         outcomes.append(
             SolveOutcome(
                 status="ok",
-                report=report,
+                report=item,
                 error=None,
                 error_type=None,
-                elapsed_s=report.elapsed_s,
-                steady_solves=report.steady_solves,
-                cache_hit=report.cache_hit,
+                elapsed_s=item.timings["worker"],
+                steady_solves=item.steady_solves,
+                cache_hit=item.cache_hit,
             )
         )
     return outcomes
 
 
-def process_solve(request: ScheduleRequest) -> SolveOutcome:
-    """Module-level (hence picklable) process-pool worker (cached)."""
-    return solve_request_outcome(request, process_local_cache())
-
-
-def process_solve_uncached(request: ScheduleRequest) -> SolveOutcome:
-    """Process-pool worker for ``use_cache=False`` services."""
-    return solve_request_outcome(request, None)
-
-
-def process_solve_batch(
-    requests: Sequence[ScheduleRequest],
+def process_solve(
+    requests: Sequence[ScheduleRequest], use_cache: bool = True
 ) -> list[SolveOutcome]:
-    """Picklable process-pool batch worker (per-process cache)."""
-    return solve_requests_batch(requests, process_local_cache())
+    """Module-level (hence picklable) process-pool worker.
 
-
-def process_solve_batch_uncached(
-    requests: Sequence[ScheduleRequest],
-) -> list[SolveOutcome]:
-    """Process-pool batch worker for ``use_cache=False`` services."""
-    return solve_requests_batch(requests, None)
+    Solves against the worker process's own model cache, or none for
+    ``use_cache=False`` services.
+    """
+    return solve_requests(requests, process_local_cache() if use_cache else None)

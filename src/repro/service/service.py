@@ -31,6 +31,9 @@ Design points:
   :class:`~repro.service.pool.AdaptiveWorkerPool` that scales its
   target between ``min_workers`` and ``max_workers`` with queue
   pressure (one step per observation, idle hysteresis on the way down).
+* **Group dispatch** — every dispatch hands one worker a group of
+  jobs: a group of one by default, or with ``max_batch > 1`` the
+  queued jobs that share a thermal network, solved one after another.
 * **Shared thermal models** — thread workers solve against the
   service's :class:`~repro.engine.cache.ThermalModelCache`; process
   workers use the same per-process cache as the batch runner, so a
@@ -65,16 +68,7 @@ from ..obs.prometheus import (
 )
 from .answer_cache import AnswerCache, AnswerCacheStats, warm_cache_from_archive
 from .archive import ReportArchive
-from .execution import (
-    SolveOutcome,
-    error_outcome,
-    process_solve,
-    process_solve_batch,
-    process_solve_batch_uncached,
-    process_solve_uncached,
-    solve_request_outcome,
-    solve_requests_batch,
-)
+from .execution import SolveOutcome, error_outcome, process_solve, solve_requests
 from .pool import AdaptiveWorkerPool
 from ..reactive import (
     GuardConfig,
@@ -656,13 +650,14 @@ class ScheduleService:
         Only meaningful with ``max_batch > 1``.
     max_batch:
         Most jobs one worker-pool dispatch may solve as a coalesced
-        group.  ``1`` (the default) disables coalescing entirely and
-        preserves the one-job-per-dispatch behaviour — the benchmark
-        baseline.  Drained jobs are grouped by thermal-model identity
-        (same scenario geometry, or same named SoC) and effective
-        timeout; each group becomes one executor task solving against
-        shared model builds and memoised GEMMs, with per-job outcomes
-        bit-identical to solo solves.
+        group.  ``1`` (the default) disables coalescing: every dispatch
+        is a group of one, the benchmark baseline.  Drained jobs are
+        grouped by thermal-model identity (same scenario geometry, or
+        same named SoC) and effective timeout; each group becomes one
+        executor task that solves its jobs one after another, sharing
+        the worker's model-cache entry and, for jobs about the same
+        scenario, one SoC and session-model build.  Per-job outcomes
+        are bit-identical to solo solves.
     """
 
     def __init__(
@@ -937,16 +932,9 @@ class ScheduleService:
             # idle scale-down happens even on a silent service.
             self._heartbeat = asyncio.create_task(self._scale_heartbeat())
         if self._backend.shares_memory:
-            self._worker = partial(solve_request_outcome, cache=self._cache)
-            self._batch_worker = partial(
-                solve_requests_batch, cache=self._cache
-            )
-        elif self._use_cache:
-            self._worker = process_solve
-            self._batch_worker = process_solve_batch
+            self._worker = partial(solve_requests, cache=self._cache)
         else:
-            self._worker = process_solve_uncached
-            self._batch_worker = process_solve_batch_uncached
+            self._worker = partial(process_solve, use_cache=self._use_cache)
         self._started_at = time.perf_counter()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._accepting = True
@@ -1312,13 +1300,10 @@ class ScheduleService:
                 self._pool.release()
                 raise
             self._pool.clear_idle_claim()
-            if self._max_batch > 1:
-                await self._dispatch_coalesced(job)
-            else:
-                self._spawn_job_task(self._run_job(job))
+            await self._dispatch(job)
 
     def _spawn_job_task(self, coro: "Any") -> None:
-        """Track one job (or group) task for drain and ``in_flight``."""
+        """Track one group task for drain and ``in_flight``."""
         task = asyncio.create_task(coro)
         self._tasks.add(task)
         self._job_tasks.add(task)
@@ -1331,10 +1316,11 @@ class ScheduleService:
 
         Coarser than the request's content hash: everything that maps
         to the same thermal *network* (same scenario geometry, or the
-        same named SoC) can share model builds and memoised GEMMs, so
-        requests differing only in limits, solver or power inputs still
-        coalesce.  The effective timeout joins the key because a group
-        runs under a single deadline.
+        same named SoC) shares one model-cache entry, so requests
+        differing only in limits, solver or power inputs still
+        coalesce (those differing in limits or solver alone also share
+        one SoC and session-model build).  The effective timeout joins
+        the key because a group runs under a single deadline.
         """
         request = job.request
         if request.scenario is not None:
@@ -1343,14 +1329,15 @@ class ScheduleService:
             thermal = ("soc", request.soc)
         return thermal + (job.timeout_s,)
 
-    async def _dispatch_coalesced(self, first: ServiceJob) -> None:
+    async def _dispatch(self, first: ServiceJob) -> None:
         """Drain compatible neighbours of one popped job; dispatch groups.
 
         Called with *first* already popped and its worker slot held.
-        Lingers up to the coalesce window for a burst to pile up, then
-        drains whatever is queued (at most ``max_batch`` jobs in hand),
-        groups by :meth:`_coalesce_key` and dispatches each group as
-        one executor task.  The first group rides the already-held
+        With ``max_batch > 1`` it lingers up to the coalesce window for
+        a burst to pile up, then drains whatever is queued (at most
+        ``max_batch`` jobs in hand) and groups by :meth:`_coalesce_key`;
+        with ``max_batch == 1`` *first* is a group of one.  Each group
+        is one executor task.  The first group rides the already-held
         slot; every further group acquires its own, so coalescing never
         exceeds the pool's admission target.
         """
@@ -1377,14 +1364,12 @@ class ScheduleService:
                 slot_held = False
                 for job in jobs:
                     pending.remove(job)
-                if self._observability:
+                if self._observability and self._max_batch > 1:
                     self._latency.observe("batch_size", float(len(jobs)))
-                if len(jobs) == 1:
-                    self._spawn_job_task(self._run_job(jobs[0]))
-                else:
+                if len(jobs) > 1:
                     self._coalesced_batches += 1
                     self._coalesced_solves += len(jobs)
-                    self._spawn_job_task(self._run_group(jobs))
+                self._spawn_job_task(self._run_group(jobs))
         except asyncio.CancelledError:
             # Only stop() cancels the dispatcher, and a drain waits for
             # in-flight jobs first — so this fires only on
@@ -1423,77 +1408,16 @@ class ScheduleService:
         if self._queue is not None:
             self._pool.observe(self._queue.qsize())
 
-    async def _run_job(self, job: ServiceJob) -> None:
-        assert self._loop is not None
-        self._solves_started += 1
-        # Dispatch happens with a worker slot already held, so this one
-        # duration covers both the queue and slot acquisition.
-        job.queue_wait_s = time.perf_counter() - job.submitted_at
-        if self._observability:
-            self._latency.observe("queue_wait", job.queue_wait_s)
-        try:
-            worker_future = self._loop.run_in_executor(
-                self._executor, self._worker, job.request
-            )
-        except Exception as exc:  # executor refused (shutting down, ...)
-            self._release_slot()
-            self._finish(job, error_outcome(exc, 0.0))
-            return
-        slot_released = False
-        try:
-            if job.timeout_s is not None:
-                try:
-                    outcome = await asyncio.wait_for(
-                        asyncio.shield(worker_future), job.timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    # The pool cannot interrupt a running solve; the
-                    # zombie keeps its worker slot until it finishes,
-                    # then the callback frees it and counts it.
-                    self._timeouts += 1
-                    slot_released = True
-                    worker_future.add_done_callback(self._zombie_done)
-                    self._finish(
-                        job,
-                        SolveOutcome(
-                            status="error",
-                            report=None,
-                            error=(
-                                f"TimeoutError: solve exceeded its "
-                                f"{job.timeout_s:g} s budget"
-                            ),
-                            error_type="TimeoutError",
-                            elapsed_s=job.timeout_s,
-                        ),
-                    )
-                    return
-            else:
-                outcome = await worker_future
-        except Exception as exc:  # pool failure: broken pool, pickling, ...
-            outcome = error_outcome(exc, 0.0)
-        finally:
-            if not slot_released:
-                self._release_slot()
-        self._solves_completed += 1
-        self._finish(job, outcome)
-
-    def _zombie_done(self, future: "asyncio.Future") -> None:
-        self._release_slot()
-        self._solves_completed += 1
-        if not future.cancelled():
-            future.exception()  # retrieve, silencing the loop's warning
-
     async def _run_group(self, jobs: "list[ServiceJob]") -> None:
-        """Run one coalesced group as a single executor task.
+        """Run one group (of one or more jobs) as a single executor task.
 
-        Mirrors :meth:`_run_job` with the group as the unit of
-        execution — one worker slot, one executor dispatch, one
-        deadline (the jobs share a timeout; the coalesce key pins it) —
-        while the accounting stays per job: every member counts in
-        ``solves_started``/``solves_completed``, observes its own
-        ``queue_wait``, and resolves through its own :meth:`_finish`
-        with its own outcome.  The batch worker answers per-request, so
-        a mid-group infeasible request errors alone.
+        The group is the unit of execution — one worker slot, one
+        executor dispatch, one deadline (the jobs share a timeout; the
+        coalesce key pins it) — while the accounting stays per job:
+        every member counts in ``solves_started``/``solves_completed``,
+        observes its own ``queue_wait``, and resolves through its own
+        :meth:`_finish` with its own outcome.  The worker answers
+        per request, so a mid-group infeasible request errors alone.
         """
         assert self._loop is not None
         self._solves_started += len(jobs)
@@ -1505,7 +1429,7 @@ class ScheduleService:
         requests = [job.request for job in jobs]
         try:
             worker_future = self._loop.run_in_executor(
-                self._executor, self._batch_worker, requests
+                self._executor, self._worker, requests
             )
         except Exception as exc:  # executor refused (shutting down, ...)
             self._release_slot()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PowerModelError
+from ..spec_utils import is_positive_number
 
 #: Default per-core test application time (seconds).  The paper's
 #: schedule lengths count sessions at one second each.
@@ -45,20 +46,23 @@ class CoreUnderTest:
     def __post_init__(self) -> None:
         if not self.name:
             raise PowerModelError("core name must be non-empty")
-        if self.test_power_w <= 0.0:
+        # is_positive_number also refuses NaN, infinities and booleans:
+        # a NaN power would make every temperature NaN, which never
+        # reaches TL, so the schedule would pass unchecked.
+        if not is_positive_number(self.test_power_w):
             raise PowerModelError(
-                f"core {self.name!r}: test power must be positive, "
-                f"got {self.test_power_w!r}"
+                f"core {self.name!r}: test power must be positive and "
+                f"finite, got {self.test_power_w!r}"
             )
-        if self.functional_power_w <= 0.0:
+        if not is_positive_number(self.functional_power_w):
             raise PowerModelError(
-                f"core {self.name!r}: functional power must be positive, "
-                f"got {self.functional_power_w!r}"
+                f"core {self.name!r}: functional power must be positive "
+                f"and finite, got {self.functional_power_w!r}"
             )
-        if self.test_time_s <= 0.0:
+        if not is_positive_number(self.test_time_s):
             raise PowerModelError(
-                f"core {self.name!r}: test time must be positive, "
-                f"got {self.test_time_s!r}"
+                f"core {self.name!r}: test time must be positive and "
+                f"finite, got {self.test_time_s!r}"
             )
 
     @property

@@ -130,6 +130,10 @@ def is_finite_number(value: Any) -> bool:
 
 def is_positive_number(value: Any) -> bool:
     """True for a finite real number strictly above zero."""
+    if type(value) is float:
+        # Comparisons alone (NaN fails both): every SoC build checks
+        # each core's powers and test time this way.
+        return 0.0 < value < math.inf
     return is_finite_number(value) and value > 0.0
 
 

@@ -322,45 +322,3 @@ class ReducedSteadyOperator:
         one GEMM.
         """
         return self._ambient_c + self.rises(power)
-
-
-class MemoizedSteadyOperator(ReducedSteadyOperator):
-    """A reduced operator that answers repeated power inputs from memory.
-
-    The service's request coalescer funnels a whole group of
-    same-floorplan requests through one operator; across the group the
-    same power inputs recur constantly (every request resolves its TL
-    against the same singleton batch, schedulers revisit the same
-    candidate sessions).  Memoising by the exact power bytes makes the
-    repeat evaluations free *and* keeps the batch path bit-identical to
-    solo solves: a memo hit replays the array a solo solve would have
-    computed, rather than re-deriving it through a differently-shaped
-    GEMM (BLAS results for stacked columns are not bitwise equal to the
-    per-column products, so cross-request column stacking is off the
-    table for an equivalence-guaranteed path).
-
-    Not thread-safe; intended for one coalesced group processed
-    sequentially on a single worker.
-    """
-
-    def __init__(self, base: ReducedSteadyOperator) -> None:
-        # Shares the base operator's network/matrix objects, so the
-        # simulator facade's same-network identity check still passes.
-        super().__init__(
-            base.network, base.block_names, base.matrix, base.ambient_c
-        )
-        self._memo: dict[tuple[tuple[int, ...], bytes], np.ndarray] = {}
-
-    @property
-    def memo_size(self) -> int:
-        """Distinct power inputs answered so far (diagnostics)."""
-        return len(self._memo)
-
-    def rises(self, power: np.ndarray) -> np.ndarray:
-        key = (power.shape, power.tobytes())
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = super().rises(power)
-            cached.setflags(write=False)
-            self._memo[key] = cached
-        return cached

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import Project, get_rule
+from repro.analysis.rules.async_blocking import SOLVER_ENTRYPOINTS
 from repro.analysis.runner import run_rules
+
+PACKAGE_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 RULE = "async-blocking"
 
@@ -91,6 +96,31 @@ class TestPositive:
         assert len(found) == 1
         assert "process_solve" in found[0].message
         assert "run_in_executor" in found[0].hint
+
+    def test_group_entry_points(self):
+        found = findings_for(
+            """
+            async def handler(bench, requests):
+                outcomes = solve_requests(requests)
+                return outcomes, bench.solve_batch(requests)
+            """
+        )
+        assert [f.line for f in found] == [3, 4]
+        assert "solve_requests" in found[0].message
+        assert "solve_batch" in found[1].message
+
+
+class TestEntryPointsExist:
+    def test_every_listed_entry_point_is_a_def_in_the_package(self):
+        """A renamed entry point must fail here, not blind the rule."""
+        project = Project.load(PACKAGE_ROOT)
+        defined = {
+            node.name
+            for sf in project.files
+            for node in ast.walk(sf.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert SOLVER_ENTRYPOINTS <= defined, sorted(SOLVER_ENTRYPOINTS - defined)
 
 
 class TestNegative:

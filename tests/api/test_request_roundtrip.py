@@ -27,7 +27,7 @@ from repro.api import (
 from repro.api.request import report_from_dict, report_to_dict
 from repro.engine import ScenarioSpec
 from repro.errors import RequestError
-from repro.service import outcome_record, solve_request_outcome
+from repro.service import outcome_record, solve_requests
 
 # -- strategies -----------------------------------------------------------------------
 
@@ -208,7 +208,7 @@ class TestReportRoundTrip:
 class TestErrorRecordRoundTrip:
     def test_error_outcome_record_survives_jsonl(self):
         request = ScheduleRequest(soc="worked_example6", tl_c=30.0, stcl=60.0)
-        record = outcome_record(request, solve_request_outcome(request))
+        record = outcome_record(request, solve_requests([request])[0])
         loaded = json.loads(json.dumps(record))
         assert loaded["status"] == "error"
         assert loaded["error_type"] == "CoreThermalViolationError"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import PowerModelError
@@ -24,6 +26,18 @@ class TestCorePower:
             CorePower("x", 0.0, 1.0)
         with pytest.raises(PowerModelError):
             CorePower("x", 1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    def test_rejects_non_finite_and_boolean_powers(self, bad):
+        with pytest.raises(PowerModelError, match="functional power"):
+            CorePower("x", bad, 1.0)
+        with pytest.raises(PowerModelError, match="test power"):
+            CorePower("x", 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, True])
+    def test_scaled_rejects_bad_factors(self, bad):
+        with pytest.raises(PowerModelError, match="scale factor"):
+            profile_ab().scaled(bad)
 
 
 class TestProfileBasics:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import ScheduleRequest, execute_request
+from repro.api import ScheduleRequest, Workbench
 from repro.errors import ReactiveError
 from repro.reactive import (
     EVENT_KINDS,
@@ -34,7 +34,7 @@ GUARD = GuardConfig(elevated_c=49.0, critical_c=53.0, hysteresis_c=1.5)
 
 @pytest.fixture(scope="module")
 def result():
-    report = execute_request(
+    report = Workbench(use_cache=False).solve(
         ScheduleRequest(soc="worked_example6", tl_c=80.0, stcl=60.0)
     )
     return report.result

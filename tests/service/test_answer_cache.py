@@ -19,11 +19,17 @@ from repro.service import (
     ReportArchive,
     ScheduleService,
     SolveOutcome,
-    solve_request_outcome,
+    solve_requests,
     warm_cache_from_archive,
 )
 
 REQUEST = ScheduleRequest(soc="worked_example6", tl_c=80.0, stcl=60.0)
+
+
+def solve_one(request):
+    """One request through the service's worker path (a group of one)."""
+    (outcome,) = solve_requests([request])
+    return outcome
 
 
 class FakeClock:
@@ -42,7 +48,7 @@ class FakeClock:
 def ok_outcome(tag: float = 0.0) -> SolveOutcome:
     """A real solved outcome (the cache stores reports, not stubs)."""
     request = ScheduleRequest(soc="worked_example6", tl_c=80.0 + tag, stcl=60.0)
-    outcome = solve_request_outcome(request)
+    outcome = solve_one(request)
     assert outcome.ok
     return outcome
 

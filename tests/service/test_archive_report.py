@@ -17,7 +17,7 @@ from repro.service import (
     outcome_record,
     record_stats,
     render_summary_table,
-    solve_request_outcome,
+    solve_requests,
     summarize_archives,
     summarize_records,
 )
@@ -27,28 +27,34 @@ SEQUENTIAL = ScheduleRequest(soc="worked_example6", tl_c=80.0, solver="sequentia
 INFEASIBLE = ScheduleRequest(soc="worked_example6", tl_c=30.0, stcl=60.0)
 
 
+def solve_one(request):
+    """One request through the service's worker path (a group of one)."""
+    (outcome,) = solve_requests([request])
+    return outcome
+
+
 class TestReportArchive:
     def test_creates_missing_parent_directories(self, tmp_path):
         # A fresh results dir must not kill the first append.
         path = tmp_path / "results" / "nested" / "served.jsonl"
         archive = ReportArchive(path)
-        archive.append_outcome(REQUEST, solve_request_outcome(REQUEST))
+        archive.append_outcome(REQUEST, solve_one(REQUEST))
         assert path.exists()
         assert archive.count == 1
 
     def test_appends_are_cumulative_across_writers(self, tmp_path):
         path = tmp_path / "served.jsonl"
-        ReportArchive(path).append_outcome(REQUEST, solve_request_outcome(REQUEST))
+        ReportArchive(path).append_outcome(REQUEST, solve_one(REQUEST))
         second = ReportArchive(path)  # a restarted service reopens it
         second.append_outcome(
-            SEQUENTIAL, solve_request_outcome(SEQUENTIAL)
+            SEQUENTIAL, solve_one(SEQUENTIAL)
         )
         records = load_service_archive(path)
         assert len(records) == 2
         assert second.count == 1  # own appends only
 
     def test_record_shape(self):
-        outcome = solve_request_outcome(REQUEST)
+        outcome = solve_one(REQUEST)
         record = outcome_record(REQUEST, outcome)
         assert record["kind"] == "service"
         assert record["status"] == "ok"
@@ -57,7 +63,7 @@ class TestReportArchive:
         assert record["report"]["tl_c"] == pytest.approx(80.0)
 
     def test_error_record_shape(self):
-        outcome = solve_request_outcome(INFEASIBLE)
+        outcome = solve_one(INFEASIBLE)
         record = outcome_record(INFEASIBLE, outcome)
         assert record["status"] == "error"
         assert record["report"] is None
@@ -84,9 +90,9 @@ class TestReportArchive:
 class TestAggregation:
     def make_service_records(self):
         return [
-            outcome_record(REQUEST, solve_request_outcome(REQUEST)),
-            outcome_record(SEQUENTIAL, solve_request_outcome(SEQUENTIAL)),
-            outcome_record(INFEASIBLE, solve_request_outcome(INFEASIBLE)),
+            outcome_record(REQUEST, solve_one(REQUEST)),
+            outcome_record(SEQUENTIAL, solve_one(SEQUENTIAL)),
+            outcome_record(INFEASIBLE, solve_one(INFEASIBLE)),
         ]
 
     def test_summaries_per_solver(self):
@@ -140,7 +146,7 @@ class TestAggregation:
             summarize_archives([empty])
 
     def test_error_only_solver_renders_dashes(self):
-        records = [outcome_record(INFEASIBLE, solve_request_outcome(INFEASIBLE))]
+        records = [outcome_record(INFEASIBLE, solve_one(INFEASIBLE))]
         summaries = summarize_records(records)
         assert len(summaries) == 1
         assert math.isnan(summaries[0].mean_length_s)
@@ -162,9 +168,9 @@ class TestTornTailArchives:
     def make_torn_archive(self, tmp_path):
         path = tmp_path / "served.jsonl"
         archive = ReportArchive(path)
-        archive.append_outcome(REQUEST, solve_request_outcome(REQUEST))
+        archive.append_outcome(REQUEST, solve_one(REQUEST))
         archive.append_outcome(
-            SEQUENTIAL, solve_request_outcome(SEQUENTIAL)
+            SEQUENTIAL, solve_one(SEQUENTIAL)
         )
         # Simulate an append caught mid-write: a truncated final line.
         with path.open("a") as handle:

@@ -1,12 +1,13 @@
 """Request-coalescing dispatcher tests: grouping, identity, isolation.
 
-The dispatcher drains compatible neighbours of a popped job (same
-thermal network, same effective timeout) and solves each group as one
-executor task against shared model builds and memoised GEMMs.  These
-tests pin the service-level contract: counters account per job, the
-``batch_size`` histogram records dispatch widths, group members resolve
-independently (errors and timeouts included), and a coalesced answer is
-bit-identical to the uncoalesced service's.
+Every dispatch is a group; with ``max_batch > 1`` the dispatcher
+drains compatible neighbours of a popped job (same thermal network,
+same effective timeout) and solves each group as one executor task,
+request after request over shared model builds.  These tests pin the
+service-level contract: counters account per job, the ``batch_size``
+histogram records dispatch widths, group members resolve independently
+(errors and timeouts included), and a coalesced answer is bit-identical
+to the uncoalesced service's.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ import time
 import pytest
 
 from repro.api import ScheduleRequest, Solver, register_solver
+from repro.api.request import report_to_dict
 from repro.core.baselines import sequential_schedule
+from repro.engine.scenarios import ScenarioSpec
 from repro.errors import (
     ServiceBusyError,
     ServiceClosedError,
@@ -476,6 +478,33 @@ class TestLifecycle:
         asyncio.run(main())
 
 
+GRID = ScenarioSpec(kind="grid", rows=3, cols=3, power_seed=7)
+
+
+def tl_sweep(headroom: float) -> ScheduleRequest:
+    """Distinct requests on one thermal network (coalescible)."""
+    return ScheduleRequest(scenario=GRID, tl_headroom=headroom, stcl_headroom=5.0)
+
+
+def canonical(outcome) -> dict:
+    """An ok outcome's deterministic report content."""
+    assert outcome.ok, outcome.error
+    data = report_to_dict(outcome.report)
+    for field in ("elapsed_s", "timings", "cache_hit", "cached"):
+        data.pop(field, None)
+    return data
+
+
+async def answer_all(requests, expect_groups: bool = False, **service_kwargs):
+    """Outcomes of a one-worker service, every request submitted first."""
+    async with ScheduleService(max_workers=1, **service_kwargs) as svc:
+        jobs = [await svc.submit(request) for request in requests]
+        outcomes = await asyncio.gather(*(job.outcome() for job in jobs))
+        if expect_groups:
+            assert svc.metrics().coalesced_batches >= 1
+        return outcomes
+
+
 class TestProcessBackend:
     def test_process_workers_solve_and_dedup(self):
         async def main():
@@ -495,3 +524,29 @@ class TestProcessBackend:
                 assert metrics.cache is None
 
         asyncio.run(main())
+
+    def test_uncached_process_workers_answer_like_threads(self):
+        requests = [REQUEST, SEQUENTIAL] + [
+            tl_sweep(8.0 + i) for i in range(3)
+        ]
+        process = asyncio.run(
+            answer_all(requests, backend="process", use_cache=False)
+        )
+        thread = asyncio.run(answer_all(requests, backend="thread"))
+        assert [canonical(o) for o in process] == [canonical(o) for o in thread]
+        # No model cache anywhere, not even the worker process's own.
+        assert not any(o.cache_hit for o in process)
+
+    def test_coalesced_process_groups_answer_like_threads(self):
+        requests = [tl_sweep(8.0 + i) for i in range(6)]
+        process = asyncio.run(
+            answer_all(
+                requests,
+                backend="process",
+                max_batch=8,
+                coalesce_window_ms=50.0,
+                expect_groups=True,
+            )
+        )
+        thread = asyncio.run(answer_all(requests, backend="thread"))
+        assert [canonical(o) for o in process] == [canonical(o) for o in thread]

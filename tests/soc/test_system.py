@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.api import Workbench
 from repro.errors import PowerModelError
 from repro.floorplan.generator import grid_floorplan
 from repro.power.profile import CorePower, PowerProfile
 from repro.soc.core import CoreUnderTest
+from repro.soc.library import alpha15_soc
 from repro.soc.system import SocUnderTest
+
+#: Values a positive physical quantity must refuse besides <= 0.
+NOT_FINITE = [math.nan, math.inf, True]
 
 
 def make_soc(test_times=(1.0, 1.0)) -> SocUnderTest:
@@ -34,6 +42,27 @@ class TestCoreUnderTest:
             CoreUnderTest("x", 1.0, 0.0)
         with pytest.raises(PowerModelError):
             CoreUnderTest("x", 1.0, 1.0, test_time_s=0.0)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    def test_non_finite_and_boolean_fields_rejected(self, bad):
+        with pytest.raises(PowerModelError, match="test power"):
+            CoreUnderTest("x", bad, 1.0)
+        with pytest.raises(PowerModelError, match="functional power"):
+            CoreUnderTest("x", 1.0, bad)
+        with pytest.raises(PowerModelError, match="test time"):
+            CoreUnderTest("x", 1.0, 1.0, test_time_s=bad)
+
+    def test_nan_test_power_soc_is_refused_before_any_solve(self):
+        # A NaN power makes every temperature NaN, which never reaches
+        # TL, so a solve would pass the schedule as safe.
+        def nan_soc() -> SocUnderTest:
+            soc = alpha15_soc()
+            cores = list(soc)
+            cores[0] = dataclasses.replace(cores[0], test_power_w=math.nan)
+            return SocUnderTest(soc.floorplan, cores, package=soc.package)
+
+        with pytest.raises(PowerModelError, match="test power"):
+            Workbench().solve_soc(nan_soc(), tl_c=165.0, stcl=60.0)
 
 
 class TestSocConstruction:
