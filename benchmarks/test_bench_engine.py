@@ -40,7 +40,7 @@ def test_bench_serial_fleet_throughput(benchmark, fleet):
     """End-to-end serial scheduling of the whole fleet."""
     batch = benchmark(lambda: BatchRunner(backend="serial").run(fleet))
     assert batch.n_jobs == FLEET_SIZE
-    assert not batch.failed, [r.error for r in batch.failed]
+    assert not batch.failed, [o.error for _, o in batch.failed.values()]
     benchmark.extra_info["jobs"] = batch.n_jobs
     benchmark.extra_info["jobs_per_second"] = round(batch.jobs_per_second, 1)
     benchmark.extra_info["cache_hit_rate"] = round(batch.cache_hit_rate, 3)
@@ -63,8 +63,11 @@ def test_bench_multiworker_speedup(fleet):
     )
     assert not serial_batch.failed and not process_batch.failed
     # Identical work was done (same schedules), only faster.
-    for a, b in zip(serial_batch.results, process_batch.results):
-        assert a.result.length_s == b.result.length_s
+    for job_id in fleet:
+        assert (
+            serial_batch[job_id][1].report.length_s
+            == process_batch[job_id][1].report.length_s
+        )
     speedup = serial_s / process_s
     print(
         f"\nserial {serial_s:.2f} s vs process[{cpus}] {process_s:.2f} s "
@@ -104,11 +107,10 @@ def test_bench_thread_backend_correctness_under_sharing(fleet):
     serial_batch, _ = _timed_run(fleet, backend="serial")
     thread_batch, _ = _timed_run(fleet, backend="thread", max_workers=4)
     assert not thread_batch.failed
-    for a, b in zip(serial_batch.results, thread_batch.results):
-        assert a.result.length_s == b.result.length_s
-        assert a.result.max_temperature_c == pytest.approx(
-            b.result.max_temperature_c
-        )
+    for job_id in fleet:
+        a, b = serial_batch[job_id][1].report, thread_batch[job_id][1].report
+        assert a.length_s == b.length_s
+        assert a.max_temperature_c == pytest.approx(b.max_temperature_c)
     # Concurrent workers may race to build the same key (each records a
     # miss, the loser's build is discarded), so hits can dip below the
     # serial count — but the distinct-model count must match exactly.

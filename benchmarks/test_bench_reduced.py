@@ -170,7 +170,7 @@ def test_bench_fleet_throughput_reduced(benchmark):
     """Fleet throughput with the operator shared through the cache."""
     fleet = generate_fleet(60, seed=0)
     batch = benchmark(lambda: BatchRunner(backend="serial").run(fleet))
-    assert not batch.failed, [r.error for r in batch.failed]
+    assert not batch.failed, [o.error for _, o in batch.failed.values()]
     benchmark.extra_info["jobs"] = batch.n_jobs
     benchmark.extra_info["jobs_per_second"] = round(batch.jobs_per_second, 1)
     benchmark.extra_info["steady_solves"] = batch.total_steady_solves

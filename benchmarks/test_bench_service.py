@@ -56,7 +56,7 @@ def fleet_jobs():
 @pytest.fixture(scope="module")
 def burst_requests(fleet_jobs):
     """BURST requests cycling over the fleet's DISTINCT questions."""
-    distinct = [job.to_request() for job in fleet_jobs]
+    distinct = list(fleet_jobs.values())
     return [distinct[i % len(distinct)] for i in range(BURST)]
 
 
@@ -109,7 +109,7 @@ def test_bench_service_sustained_throughput(benchmark, burst_requests):
             )
 
 
-def test_bench_service_vs_batch_runner(burst_requests, fleet_jobs):
+def test_bench_service_vs_batch_runner(burst_requests):
     """The service answers a repetitive burst competitively vs BatchRunner.
 
     The batch runner executes the burst as BURST independent jobs (its
@@ -120,14 +120,8 @@ def test_bench_service_vs_batch_runner(burst_requests, fleet_jobs):
     be slower than the batch path by more than 2x, and dedup + cache
     together must eliminate >= half the solves.
     """
-    import dataclasses
-
     # The same 96 questions as a batch fleet (unique ids, repeated work).
-    jobs = []
-    for i in range(BURST):
-        jobs.append(
-            dataclasses.replace(fleet_jobs[i % DISTINCT], job_id=f"burst-{i}")
-        )
+    jobs = {f"burst-{i}": request for i, request in enumerate(burst_requests)}
 
     start = time.perf_counter()
     batch = BatchRunner(backend="thread", max_workers=WORKERS).run(jobs)

@@ -15,7 +15,8 @@ Run:  python examples/custom_floorplan.py
 
 from __future__ import annotations
 
-from repro import ThermalAwareScheduler, audit_schedule
+from repro import audit_schedule
+from repro.core.scheduler import ThermalAwareScheduler
 from repro.core.session_model import SessionModelConfig, SessionThermalModel
 from repro.floorplan import parse_flp
 from repro.power import PowerGeneratorConfig, generate_power_profile

@@ -17,13 +17,9 @@ Run:  python examples/power_vs_thermal.py
 
 from __future__ import annotations
 
-from repro import (
-    PowerConstrainedConfig,
-    PowerConstrainedScheduler,
-    ThermalAwareScheduler,
-    audit_schedule,
-    hypothetical7_soc,
-)
+from repro import audit_schedule, hypothetical7_soc
+from repro.core.baselines import PowerConstrainedConfig, PowerConstrainedScheduler
+from repro.core.scheduler import ThermalAwareScheduler
 from repro.core.session_model import SessionModelConfig, SessionThermalModel
 from repro.experiments.fig1 import report_fig1
 

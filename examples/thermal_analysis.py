@@ -15,7 +15,8 @@ Run:  python examples/thermal_analysis.py
 
 from __future__ import annotations
 
-from repro import ThermalAwareScheduler, alpha15_soc
+from repro import alpha15_soc
+from repro.core.scheduler import ThermalAwareScheduler
 from repro.core.session_model import SessionModelConfig, SessionThermalModel
 from repro.floorplan.render import render_floorplan
 from repro.soc.library import ALPHA15_STC_SCALE

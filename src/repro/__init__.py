@@ -45,9 +45,6 @@ Batch quickstart::
     print(batch.describe())
 """
 
-import importlib as _importlib
-import warnings as _warnings
-
 from .api import (
     ScheduleRequest,
     SolveReport,
@@ -87,8 +84,6 @@ from .engine import (
     BatchResult,
     BatchRunner,
     FleetConfig,
-    JobResult,
-    JobSpec,
     ScenarioSpec,
     ThermalModelCache,
     available_backends,
@@ -121,37 +116,6 @@ from .thermal import (
 
 __version__ = "1.0.0"
 
-#: Scheduler entry points kept importable from the package root for
-#: backwards compatibility, but deprecated in favour of the unified
-#: solver API (build a ScheduleRequest, call solve()).  Served lazily
-#: via module __getattr__ so each access carries a DeprecationWarning;
-#: the implementation classes themselves remain first-class citizens at
-#: their canonical homes under repro.core.  Deliberately absent from
-#: __all__ so `from repro import *` stays warning-free.
-_DEPRECATED_SCHEDULER_EXPORTS = {
-    "ThermalAwareScheduler": ("repro.core.scheduler", "ThermalAwareScheduler"),
-    "PowerConstrainedScheduler": ("repro.core.baselines", "PowerConstrainedScheduler"),
-    "PowerConstrainedConfig": ("repro.core.baselines", "PowerConstrainedConfig"),
-    "sequential_schedule": ("repro.core.baselines", "sequential_schedule"),
-}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED_SCHEDULER_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr = target
-    _warnings.warn(
-        f"importing {name} from the repro package root is deprecated; "
-        f"route scheduling through the unified solver API "
-        f"(repro.solve(ScheduleRequest(...))) or import the class from "
-        f"its canonical home, {module_name}.{attr}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(_importlib.import_module(module_name), attr)
-
-
 __all__ = [
     "BatchResult",
     "BatchRunner",
@@ -162,8 +126,6 @@ __all__ = [
     "Floorplan",
     "FloorplanError",
     "GeometryError",
-    "JobResult",
-    "JobSpec",
     "PackageConfig",
     "PowerModelError",
     "PowerProfile",

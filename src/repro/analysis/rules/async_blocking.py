@@ -74,9 +74,6 @@ SOLVER_ENTRYPOINTS: frozenset[str] = frozenset(
         "solve_batch",
         "solve_soc",
         "run_fleet",
-        # The batch runner's per-job workers.
-        "run_job",
-        "_process_job",
     }
 )
 

@@ -61,18 +61,6 @@ CODEC_SPECS: tuple[CodecSpec, ...] = (
         extra_keys=frozenset({"schema_version", "request_hash"}),
     ),
     CodecSpec(
-        "JobSpec",
-        "job_spec_to_dict",
-        "job_spec_from_dict",
-        extra_keys=frozenset({"schema_version"}),
-    ),
-    CodecSpec(
-        "JobResult",
-        "job_result_to_dict",
-        "job_result_from_dict",
-        extra_keys=frozenset({"schema_version"}),
-    ),
-    CodecSpec(
         "ScheduleResult",
         "result_to_dict",
         "result_from_dict",
@@ -81,7 +69,7 @@ CODEC_SPECS: tuple[CodecSpec, ...] = (
     CodecSpec(
         "SolveOutcome",
         "outcome_record",
-        "warm_cache_from_archive",
+        "outcome_from_record",
         extra_keys=frozenset(
             {"schema_version", "kind", "solver", "request", "request_hash"}
         ),

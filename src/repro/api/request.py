@@ -120,7 +120,6 @@ class ScheduleRequest:
             tl_headroom=self.tl_headroom,
             stcl=self.stcl,
             stcl_headroom=self.stcl_headroom,
-            error_cls=RequestError,
             stc_scale=self.stc_scale,
         )
         if not self.solver or not isinstance(self.solver, str):

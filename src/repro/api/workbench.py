@@ -43,7 +43,6 @@ from .request import ScheduleRequest, SolveReport
 from .solvers import Solver, SolveContext, get_solver
 
 if TYPE_CHECKING:
-    from ..engine.jobs import JobSpec
     from ..engine.runner import BatchResult
 
 
@@ -241,7 +240,6 @@ class Workbench:
             tl_headroom=tl_headroom,
             stcl=stcl,
             stcl_headroom=stcl_headroom,
-            error_cls=RequestError,
             stc_scale=stc_scale,
         )
         if solver_obj.needs_stcl and stcl is None and stcl_headroom is None:
@@ -346,9 +344,9 @@ class Workbench:
                     f"{dict(params)!r}: {exc}"
                 ) from exc
         except Exception as exc:
-            # Error-record consumers (the batch runner) still want the
+            # Error-outcome consumers (service and batch) still want the
             # effort spent before the failure; exceptions carry it out.
-            # Any exception type: run_job records non-ReproError solver
+            # Any exception type: a worker records non-ReproError solver
             # bugs too, and their effort must not read as zero.
             _annotate(
                 exc,
@@ -377,12 +375,12 @@ class Workbench:
 
     def run_fleet(
         self,
-        jobs: Sequence["JobSpec"],
+        jobs: Mapping[str, ScheduleRequest],
         backend: str = "serial",
         max_workers: int | None = None,
         jsonl_path: str | Path | None = None,
     ) -> "BatchResult":
-        """Fan a fleet of :class:`~repro.engine.jobs.JobSpec` out.
+        """Fan a fleet (job id -> :class:`ScheduleRequest`) out.
 
         Delegates to :class:`~repro.engine.runner.BatchRunner` with this
         workbench's cache, so single solves and fleet jobs share warm

@@ -612,8 +612,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--warm-from",
         type=Path,
         metavar="JSONL",
-        help="pre-populate the answer cache from a service archive's "
-        "ok records at boot",
+        help="pre-populate the answer cache at boot from the ok records "
+        "of an archive (repro serve --archive or repro batch --out)",
     )
     output = parser.add_argument_group("output")
     output.add_argument(
@@ -1318,8 +1318,9 @@ def report_main(argv: list[str] | None = None) -> int:
         prog="repro report",
         description=(
             "Aggregate batch (`repro batch --out`) and service "
-            "(`repro serve --archive`) JSONL archives into a per-solver "
-            "summary table."
+            "(`repro serve --archive`) JSONL archives, and batch archives "
+            "of the older job-record format, into a per-solver summary "
+            "table."
         ),
     )
     parser.add_argument(
@@ -1327,7 +1328,7 @@ def report_main(argv: list[str] | None = None) -> int:
         nargs="+",
         type=Path,
         metavar="JSONL",
-        help="one or more archive files (dialects may be mixed)",
+        help="one or more archive files (formats may be mixed)",
     )
     args = parser.parse_args(argv)
 

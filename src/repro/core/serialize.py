@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ..errors import SchedulingError
 from ..soc.system import SocUnderTest
@@ -156,7 +156,7 @@ def dump_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> int:
     """Write dict records to a JSON-Lines file; returns the record count.
 
     JSONL is the batch engine's persistence format: one self-contained
-    record per line, so fleets of thousands of job results stream to
+    record per line, so fleets of thousands of job outcomes stream to
     disk without holding the whole batch in memory and can be grepped,
     tailed and concatenated like logs.
     """
@@ -171,42 +171,52 @@ def dump_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> int:
     return count
 
 
-def load_jsonl(
+def iter_jsonl(
     path: str | Path, *, tolerate_torn_tail: bool = False
-) -> list[dict[str, Any]]:
-    """Read every record of a JSON-Lines file (blank lines skipped).
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(line number, record)`` for every record of a JSON-Lines file.
 
-    With ``tolerate_torn_tail=True`` a corrupt *final* line — the
-    half-written record a killed or still-running appender leaves
-    behind — is skipped with a :class:`UserWarning` instead of raising.
-    Only the tail gets this grace: a bad record with valid records
-    after it is real corruption, not an append in flight, and still
-    raises :class:`~repro.errors.SchedulingError`.
+    Blank lines are skipped.  With ``tolerate_torn_tail=True`` a
+    corrupt *final* line — the half-written record a killed or
+    still-running appender leaves behind — is skipped with a
+    :class:`UserWarning` instead of raising.  Only the tail gets this
+    grace: a bad record with valid records after it is real corruption,
+    not an append in flight, and still raises
+    :class:`~repro.errors.SchedulingError`.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchedulingError(f"cannot load JSONL file {path}: {exc}") from exc
-    records: list[dict[str, Any]] = []
     lines = text.splitlines()
     last_lineno = len(lines)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             if tolerate_torn_tail and lineno == last_lineno:
                 warnings.warn(
                     f"skipping torn final JSONL record at {path}:{lineno} "
                     f"(half-written append?): {exc}",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 continue
             raise SchedulingError(
                 f"corrupt JSONL record at {path}:{lineno}: {exc}"
             ) from exc
-    return records
+        yield lineno, record
+
+
+def load_jsonl(
+    path: str | Path, *, tolerate_torn_tail: bool = False
+) -> list[dict[str, Any]]:
+    """Read every record of a JSON-Lines file (see :func:`iter_jsonl`)."""
+    return [
+        record
+        for _, record in iter_jsonl(path, tolerate_torn_tail=tolerate_torn_tail)
+    ]
 
 
 def save_result(result: ScheduleResult, path: str | Path) -> None:

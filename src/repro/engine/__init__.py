@@ -4,15 +4,16 @@ The single-run flow answers one ``(SoC, TL, STCL)`` question; this
 subsystem turns it into a high-throughput batch service:
 
 * :mod:`scenarios` — declarative, picklable SoC descriptions and a
-  seeded generator that emits diverse fleets in one call;
-* :mod:`jobs` — frozen :class:`JobSpec` / :class:`JobResult` records
-  that round-trip through dicts and JSONL;
+  seeded generator that emits diverse fleets (job id ->
+  :class:`~repro.api.ScheduleRequest`) in one call;
 * :mod:`cache` — a content-hash-keyed cache sharing compiled thermal
   networks and steady-state factorisations across jobs;
 * :mod:`backends` — a pluggable execution-backend registry (serial,
   thread, multiprocessing);
-* :mod:`runner` — :class:`BatchRunner`, which fans jobs out, aggregates
-  results and archives them as JSONL.
+* :mod:`runner` — :class:`BatchRunner`, which fans jobs out through
+  the scheduling service's worker path, aggregates their outcomes
+  (:class:`~repro.service.execution.SolveOutcome`) and archives them
+  as JSONL in the service's record format.
 
 Quickstart::
 
@@ -41,21 +42,7 @@ from .cache import (
     package_fingerprint,
     process_local_cache,
 )
-from .jobs import (
-    JobResult,
-    JobSpec,
-    job_result_from_dict,
-    job_result_to_dict,
-    job_spec_from_dict,
-    job_spec_to_dict,
-)
-from .runner import (
-    BatchResult,
-    BatchRunner,
-    load_batch_jsonl,
-    run_job,
-    save_batch_jsonl,
-)
+from .runner import BatchResult, BatchRunner, load_batch_jsonl, save_batch_jsonl
 from .scenarios import (
     FleetConfig,
     ScenarioSpec,
@@ -69,8 +56,6 @@ __all__ = [
     "CacheStats",
     "ExecutionBackend",
     "FleetConfig",
-    "JobResult",
-    "JobSpec",
     "ProcessBackend",
     "ScenarioSpec",
     "SerialBackend",
@@ -82,15 +67,10 @@ __all__ = [
     "floorplan_fingerprint",
     "generate_fleet",
     "generate_scenarios",
-    "job_result_from_dict",
-    "job_result_to_dict",
-    "job_spec_from_dict",
-    "job_spec_to_dict",
     "load_batch_jsonl",
     "model_key",
     "package_fingerprint",
     "process_local_cache",
     "register_backend",
-    "run_job",
     "save_batch_jsonl",
 ]

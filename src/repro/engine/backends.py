@@ -8,8 +8,8 @@ over workers?*  Three are registered out of the box:
 * ``"thread"`` — a thread pool.  The linear-algebra kernels release the
   GIL, so threads overlap the solver-bound portion of jobs while
   sharing one in-process thermal-model cache.
-* ``"process"`` — a process pool for true CPU parallelism.  Job specs
-  and results are plain picklable dataclasses, so they cross the
+* ``"process"`` — a process pool for true CPU parallelism.  Requests
+  and outcomes are plain picklable dataclasses, so they cross the
   boundary unchanged; each worker process keeps its own model cache.
 
 Additional backends (a cluster dispatcher, an async queue) register via
@@ -36,7 +36,7 @@ def default_worker_count() -> int:
 
 
 class ExecutionBackend(ABC):
-    """Maps a worker function over job specs, preserving input order.
+    """Maps a worker function over jobs, preserving input order.
 
     Attributes
     ----------

@@ -1,14 +1,16 @@
 """The batch runner: fan jobs out over a backend, aggregate, persist.
 
-:func:`run_job` is the single-job execution path: convert the job to a
-:class:`~repro.api.ScheduleRequest`, dispatch it through the solver
-registry via :meth:`repro.api.Workbench.solve` (which builds the
-scenario, borrows a thermal model from the cache and resolves limits),
-and never raise — infeasible scenarios become ``status="error"``
-records instead of killing the fleet.  :class:`BatchRunner` maps it over an execution
-backend and returns a :class:`BatchResult` with per-job records plus
-the aggregate timing, simulation-effort and cache statistics, and can
-stream the records to a JSONL archive via :mod:`repro.core.serialize`.
+A fleet maps job ids to :class:`~repro.api.ScheduleRequest` objects.
+:class:`BatchRunner` runs each job as a group of one through the
+scheduling service's worker path
+(:func:`~repro.service.execution.solve_requests`, or its picklable
+:func:`~repro.service.execution.process_solve` on the process backend),
+which never raises — infeasible scenarios become ``status="error"``
+outcomes instead of killing the fleet.  It returns a
+:class:`BatchResult` with the per-job outcomes plus the aggregate
+timing, simulation-effort and cache statistics, and can archive the
+outcomes as JSONL in the service's record format
+(:func:`~repro.service.archive.outcome_record` plus ``job_id``).
 """
 
 from __future__ import annotations
@@ -18,90 +20,33 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping
 
-from ..core.serialize import dump_jsonl, load_jsonl
-from ..errors import SchedulingError
+from ..core.serialize import dump_jsonl, iter_jsonl
+from ..errors import ReproError, SchedulingError
 from .backends import ExecutionBackend, create_backend
-from .cache import (
-    CacheStats,
-    ThermalModelCache,
-    process_local_cache,
-    resolve_cache,
-)
-from .jobs import JobResult, JobSpec, job_result_from_dict, job_result_to_dict
-from .scenarios import ScenarioSpec
+from .cache import CacheStats, ThermalModelCache, resolve_cache
+
+if TYPE_CHECKING:
+    from ..api.request import ScheduleRequest, SolveReport
+    from ..service.execution import SolveOutcome
+
+    #: One batch job: the request it asked and the outcome it got.
+    BatchJob = tuple[ScheduleRequest, SolveOutcome]
 
 
-def run_job(spec: JobSpec, cache: ThermalModelCache | None = None) -> JobResult:
-    """Execute one batch job; failures become error records, not raises.
-
-    The job is converted to a :class:`~repro.api.ScheduleRequest` and
-    dispatched through the solver registry, so a fleet can mix
-    thermal-aware, power-constrained and sequential jobs (or any
-    registered extension) in one batch.
-
-    Parameters
-    ----------
-    spec:
-        The job to run.
-    cache:
-        Shared thermal-model cache; when omitted the job builds (and
-        factorises) its own network.
-    """
-    from ..api.workbench import Workbench  # deferred: api imports engine
-
-    start = time.perf_counter()
-    try:
-        report = Workbench(cache=cache, use_cache=cache is not None).solve(
-            spec.to_request()
+def _describe_job(job_id: str, outcome: SolveOutcome) -> str:
+    """One-line human-readable job summary."""
+    if outcome.report is not None:
+        result = outcome.report.result
+        body = (
+            f"length {result.length_s:g} s in {result.n_sessions} sessions, "
+            f"effort {result.effort_s:g} s, {outcome.steady_solves} solves"
         )
-    # Catch everything, not just ReproError: a buggy third-party solver
-    # registered via register_solver must not kill a 1000-job fleet and
-    # discard the results already computed.
-    except Exception as exc:
-        return JobResult(
-            spec=spec,
-            status="error",
-            tl_c=math.nan,
-            stcl=math.nan,
-            result=None,
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_s=time.perf_counter() - start,
-            steady_solves=getattr(exc, "solve_steady_solves", 0),
-            cache_hit=getattr(exc, "solve_cache_hit", False),
-        )
-    elapsed_s = time.perf_counter() - start
-    # The spec->request conversion happens out here, so the job's wall
-    # time exceeds the report's; record it as the "worker" phase like
-    # the service's worker path does.
-    timings = (
-        {**report.timings, "worker": elapsed_s}
-        if report.timings is not None
-        else None
-    )
-    return JobResult(
-        spec=spec,
-        status="ok",
-        tl_c=report.tl_c,
-        stcl=report.stcl,
-        result=report.result,
-        error=None,
-        elapsed_s=elapsed_s,
-        steady_solves=report.steady_solves,
-        cache_hit=report.cache_hit,
-        timings=timings,
-    )
-
-
-def _process_job(spec: JobSpec, use_cache: bool = True) -> JobResult:
-    """Module-level (hence picklable) worker for the process backend.
-
-    The per-process cache lives in :func:`~repro.engine.cache.process_local_cache`
-    so batch workers and scheduling-service workers sharing a process
-    also share warm models; ``use_cache=False`` runs use none.
-    """
-    return run_job(spec, process_local_cache() if use_cache else None)
+    else:
+        body = f"ERROR: {outcome.error}"
+    cache = "hit" if outcome.cache_hit else "miss"
+    return f"{job_id}: {body} [{outcome.elapsed_s * 1e3:.1f} ms, cache {cache}]"
 
 
 @dataclass(frozen=True)
@@ -111,7 +56,8 @@ class BatchResult:
     Attributes
     ----------
     results:
-        Per-job records, in submission order.
+        Job id -> (request, outcome), in submission order — the shape
+        :func:`load_batch_jsonl` reads an archive back as.
     backend:
         Backend name used.
     workers:
@@ -124,7 +70,7 @@ class BatchResult:
         aggregated below, which work for every backend).
     """
 
-    results: tuple[JobResult, ...]
+    results: Mapping[str, BatchJob]
     backend: str
     workers: int
     wall_s: float
@@ -138,33 +84,39 @@ class BatchResult:
         return len(self.results)
 
     @property
-    def ok(self) -> tuple[JobResult, ...]:
+    def ok(self) -> dict[str, BatchJob]:
         """Jobs that produced a schedule."""
-        return tuple(r for r in self.results if r.ok)
+        return {k: job for k, job in self.results.items() if job[1].ok}
 
     @property
-    def failed(self) -> tuple[JobResult, ...]:
-        """Jobs that ended in an error record."""
-        return tuple(r for r in self.results if not r.ok)
+    def failed(self) -> dict[str, BatchJob]:
+        """Jobs that ended in an error outcome."""
+        return {k: job for k, job in self.results.items() if not job[1].ok}
 
     def __len__(self) -> int:
         return len(self.results)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[str]:
         return iter(self.results)
 
-    def __getitem__(self, job_id: str) -> JobResult:
-        for result in self.results:
-            if result.spec.job_id == job_id:
-                return result
-        raise SchedulingError(f"no job {job_id!r} in this batch")
+    def __getitem__(self, job_id: str) -> BatchJob:
+        try:
+            return self.results[job_id]
+        except KeyError:
+            raise SchedulingError(f"no job {job_id!r} in this batch") from None
 
     # -- aggregate metrics ---------------------------------------------------------
+
+    def _outcomes(self) -> Iterator[SolveOutcome]:
+        return (outcome for _, outcome in self.results.values())
+
+    def _reports(self) -> Iterator[SolveReport]:
+        return (o.report for o in self._outcomes() if o.report is not None)
 
     @property
     def cache_hits(self) -> int:
         """Jobs whose thermal model came out of a cache (any backend)."""
-        return sum(1 for r in self.results if r.cache_hit)
+        return sum(1 for o in self._outcomes() if o.cache_hit)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -174,22 +126,22 @@ class BatchResult:
     @property
     def total_length_s(self) -> float:
         """Summed schedule length over successful jobs (s)."""
-        return math.fsum(r.result.length_s for r in self.ok if r.result)
+        return math.fsum(report.length_s for report in self._reports())
 
     @property
     def total_effort_s(self) -> float:
         """Summed simulation effort over successful jobs (s)."""
-        return math.fsum(r.result.effort_s for r in self.ok if r.result)
+        return math.fsum(report.result.effort_s for report in self._reports())
 
     @property
     def total_steady_solves(self) -> int:
         """Summed steady-state solves over all jobs."""
-        return sum(r.steady_solves for r in self.results)
+        return sum(o.steady_solves for o in self._outcomes())
 
     @property
     def total_job_s(self) -> float:
         """Summed per-job wall time — compute the backend parallelised."""
-        return math.fsum(r.elapsed_s for r in self.results)
+        return math.fsum(o.elapsed_s for o in self._outcomes())
 
     @property
     def jobs_per_second(self) -> float:
@@ -217,16 +169,12 @@ class BatchResult:
         ]
         if self.cache_stats is not None:
             lines.append(f"  {self.cache_stats.describe()}")
-        for result in self.results[:limit] if limit else ():
-            lines.append(f"  {result.describe()}")
-        shown = min(limit, self.n_jobs) if limit else 0
-        for result in self.failed:
-            if limit and result in self.results[:limit]:
-                continue
-            lines.append(f"  {result.describe()}")
-            shown += 1
-        if shown < self.n_jobs:
-            lines.append(f"  ... {self.n_jobs - shown} more jobs")
+        shown = list(self.results)[:limit] if limit else []
+        shown += [job_id for job_id in self.failed if job_id not in shown]
+        for job_id in shown:
+            lines.append(f"  {_describe_job(job_id, self.results[job_id][1])}")
+        if len(shown) < self.n_jobs:
+            lines.append(f"  ... {self.n_jobs - len(shown)} more jobs")
         return "\n".join(lines)
 
 
@@ -278,43 +226,41 @@ class BatchRunner:
 
     def run(
         self,
-        jobs: Sequence[JobSpec],
+        jobs: Mapping[str, ScheduleRequest],
         jsonl_path: str | Path | None = None,
     ) -> BatchResult:
-        """Execute every job and aggregate the records.
+        """Execute every job and aggregate the outcomes.
 
         Parameters
         ----------
         jobs:
-            The fleet; must be non-empty, and job ids must be unique.
+            The fleet, job id -> request; must be non-empty.
         jsonl_path:
-            When given, every job record is archived to this JSON-Lines
-            file (one self-contained record per line).
+            When given, every job's outcome is archived to this
+            JSON-Lines file (one self-contained record per line).
 
         Raises
         ------
         SchedulingError
-            On an empty fleet or duplicate job ids — both almost always
-            mean a fleet-construction bug upstream, and an empty batch
-            would otherwise silently produce an empty archive.
+            On an empty fleet — almost always a fleet-construction bug
+            upstream, and an empty batch would otherwise silently
+            produce an empty archive.
         """
+        # deferred: the service imports the engine
+        from ..service.execution import process_solve, solve_requests
+
         if not jobs:
             raise SchedulingError(
                 "batch contains no jobs; generate a fleet first "
                 "(e.g. generate_fleet(count, seed))"
             )
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise SchedulingError(f"duplicate job ids in batch: {dupes}")
-
         if self._backend.shares_memory:
-            worker = partial(run_job, cache=self._cache)
+            worker = partial(solve_requests, cache=self._cache)
         else:
-            worker = partial(_process_job, use_cache=self._cache is not None)
+            worker = partial(process_solve, use_cache=self._cache is not None)
 
         start = time.perf_counter()
-        results = tuple(self._backend.map(worker, list(jobs)))
+        outcomes = self._backend.map(worker, [[request] for request in jobs.values()])
         wall_s = time.perf_counter() - start
 
         # The in-process cache snapshot only means something on backends
@@ -322,7 +268,10 @@ class BatchRunner:
         # (their activity is visible via the per-job cache_hit flags).
         shared_cache_used = self._cache is not None and self._backend.shares_memory
         batch = BatchResult(
-            results=results,
+            results={
+                job_id: (request, outcome)
+                for (job_id, request), (outcome,) in zip(jobs.items(), outcomes)
+            },
             backend=self._backend.name,
             workers=self._backend.max_workers,
             wall_s=wall_s,
@@ -333,22 +282,59 @@ class BatchRunner:
         return batch
 
 
-def save_batch_jsonl(results: Iterable[JobResult], path: str | Path) -> int:
-    """Archive job records as JSONL; returns the record count."""
-    return dump_jsonl((job_result_to_dict(r) for r in results), path)
+def save_batch_jsonl(results: Mapping[str, BatchJob], path: str | Path) -> int:
+    """Archive job outcomes as JSONL; returns the record count.
 
-
-def load_batch_jsonl(path: str | Path) -> list[JobResult]:
-    """Load job records back from a JSONL archive.
-
-    Schedules are revalidated against freshly rebuilt SoCs; SoCs are
-    rebuilt once per distinct scenario, not once per record.
+    Each line is the service's :func:`~repro.service.archive.outcome_record`
+    plus the ``job_id``.
     """
-    socs: dict[ScenarioSpec, object] = {}
-    results: list[JobResult] = []
-    for record in load_jsonl(path):
-        scenario = ScenarioSpec(**record["spec"]["scenario"])
-        if record.get("result") is not None and scenario not in socs:
-            socs[scenario] = scenario.build_soc()
-        results.append(job_result_from_dict(record, soc=socs.get(scenario)))  # type: ignore[arg-type]
-    return results
+    from ..service.archive import outcome_record  # deferred: service imports engine
+
+    return dump_jsonl(
+        (
+            {"job_id": job_id, **outcome_record(request, outcome)}
+            for job_id, (request, outcome) in results.items()
+        ),
+        path,
+    )
+
+
+def load_batch_jsonl(path: str | Path) -> dict[str, BatchJob]:
+    """Load a batch archive back as job id -> (request, outcome).
+
+    Reports are revalidated against freshly rebuilt SoCs.
+
+    Raises
+    ------
+    SchedulingError
+        On a malformed record or a duplicate job id, naming the path
+        and line; on a legacy batch job record (``spec``/``status``/
+        ``result``), which only ``repro report`` still reads.
+    """
+    # deferred: the api and the service import the engine
+    from ..api.request import request_from_dict
+    from ..service.archive import outcome_from_record
+
+    jobs: dict[str, BatchJob] = {}
+    for lineno, record in iter_jsonl(path):
+        where = f"{path}:{lineno}"
+        if isinstance(record, dict) and "spec" in record and "kind" not in record:
+            raise SchedulingError(
+                f"{where}: a legacy batch job record (spec/status/result); "
+                f"load_batch_jsonl reads outcome records only — summarise "
+                f"old archives with `repro report`"
+            )
+        try:
+            job_id = record["job_id"]
+            if not isinstance(job_id, str):
+                raise TypeError(f"job_id must be a string, got {job_id!r}")
+            request = request_from_dict(record["request"])
+            outcome = outcome_from_record(record)
+        except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SchedulingError(
+                f"{where}: malformed batch record: {type(exc).__name__}: {exc}"
+            ) from exc
+        if job_id in jobs:
+            raise SchedulingError(f"{where}: duplicate job id {job_id!r}")
+        jobs[job_id] = (request, outcome)
+    return jobs

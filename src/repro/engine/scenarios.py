@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from ..soc.library import (
 from ..soc.system import SocUnderTest
 from ..spec_utils import is_finite_number, is_integer, is_positive_number
 from ..thermal.package import DEFAULT_PACKAGE, PackageConfig
+
+if TYPE_CHECKING:
+    from ..api.request import ScheduleRequest
 
 #: Floorplan families a scenario can describe.
 ScenarioKind = Literal["grid", "slicing", "alpha15", "hypothetical7", "worked_example6"]
@@ -403,8 +406,8 @@ def generate_fleet(
     config: FleetConfig = FleetConfig(),
     solver: str = "thermal_aware",
     solver_params: dict | None = None,
-) -> list["JobSpec"]:
-    """Generate *count* ready-to-run jobs: scenarios plus per-job limits.
+) -> dict[str, "ScheduleRequest"]:
+    """Generate *count* ready-to-run jobs: job id -> scheduling request.
 
     Limits are expressed as *headrooms* relative to each scenario's own
     thermal regime (resolved in the worker by the unified solver API,
@@ -428,7 +431,7 @@ def generate_fleet(
     SchedulingError
         When ``count`` is not a positive integer.
     """
-    from .jobs import JobSpec  # deferred: jobs.py imports this module
+    from ..api.request import ScheduleRequest  # deferred: api imports engine
 
     if count < 1:
         raise SchedulingError(
@@ -439,21 +442,18 @@ def generate_fleet(
     rng = np.random.default_rng(seed ^ 0x5EED)
     tl_low, tl_high = config.tl_headroom_range
     stcl_low, stcl_high = config.stcl_headroom_range
-    jobs = []
+    jobs = {}
     for i, scenario in enumerate(generate_scenarios(count, seed, config)):
         tl_draw = float(rng.uniform(tl_low, tl_high))
         # Always drawn so the RNG stream (hence tl per job) is identical
         # across solver choices — fleets stay comparable head-to-head.
         stcl_draw = float(rng.uniform(stcl_low, stcl_high))
-        jobs.append(
-            JobSpec(
-                job_id=f"job-{i:05d}-{scenario.name}",
-                scenario=scenario,
-                tl_headroom=tl_draw,
-                stcl_headroom=stcl_draw if needs_stcl else None,
-                solver=solver,
-                solver_params=dict(solver_params or {}),
-                include_vertical=scenario.needs_vertical_path(),
-            )
+        jobs[f"job-{i:05d}-{scenario.name}"] = ScheduleRequest(
+            scenario=scenario,
+            tl_headroom=tl_draw,
+            stcl_headroom=stcl_draw if needs_stcl else None,
+            solver=solver,
+            params=dict(solver_params or {}),
+            include_vertical=scenario.needs_vertical_path(),
         )
     return jobs

@@ -20,7 +20,8 @@ and that answers with :class:`~repro.api.SolveReport`\\ s:
 * :mod:`server` — :class:`ScheduleServer`, the asyncio TCP front end;
 * :mod:`client` — :class:`AsyncServiceClient` (pipelined asyncio) and
   :class:`ServiceClient` (blocking wrapper);
-* :mod:`archive` — the append-only JSONL archive of served outcomes;
+* :mod:`archive` — the JSONL outcome record shared by service and
+  batch archives, its decoder, and the service's append-only writer;
 * :mod:`report` — per-solver aggregation of batch and service archives;
 * :mod:`fleet` — the sharded fleet: consistent-hash ring,
   :class:`FleetRouter` (``repro route``) with health checks, circuit
@@ -53,6 +54,7 @@ from .archive import (
     SERVICE_RECORD_KIND,
     ReportArchive,
     load_service_archive,
+    outcome_from_record,
     outcome_record,
 )
 from .client import AsyncServiceClient, ServiceClient
@@ -146,6 +148,7 @@ __all__ = [
     "fleet_stats_frame",
     "load_service_archive",
     "metrics_frame",
+    "outcome_from_record",
     "outcome_record",
     "parse_submit_frame",
     "ping_frame",

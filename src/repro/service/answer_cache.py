@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from ..api.request import report_from_dict
 from ..errors import SchedulingError, ServiceError
 from ..reactive import ReactiveRunReport
+from .archive import SERVICE_RECORD_KIND, outcome_from_record
 from .execution import SolveOutcome
 
 
@@ -294,16 +294,18 @@ def _iter_lines_reversed(path: Path, block_size: int = 1 << 20):
 def warm_cache_from_archive(
     cache: AnswerCache, path: str | Path
 ) -> int:
-    """Populate *cache* from a service archive's ``ok`` records.
+    """Populate *cache* from an archive's ``ok`` records.
 
     Each successful record's embedded report is decoded (schedule
     revalidated against a rebuilt SoC, exactly like a client decoding
     the wire) and stored under its recorded ``request_hash``, so a
     rebooted service answers yesterday's repeat traffic from memory
     before its first solve.  Later records for the same hash win
-    (append order is completion order).  Error records, batch-dialect
-    records and undecodable records are skipped — a warm-start is an
-    optimisation and must never stop a service from booting.
+    (append order is completion order).  Service and batch archives
+    share one record format, so either warms the cache.  Error
+    records, legacy batch job records and undecodable records are
+    skipped — a warm-start is an optimisation and must never stop a
+    service from booting.
 
     Decoding is the expensive part (every report's schedule is
     revalidated), so candidates are selected by streaming the file's
@@ -352,7 +354,9 @@ def warm_cache_from_archive(
                 continue  # torn/hand-mangled line: skip, don't die
             if not isinstance(record, dict):
                 continue
-            if record.get("kind") != "service" or record.get("status") != "ok":
+            if record.get("kind") != SERVICE_RECORD_KIND:
+                continue
+            if record.get("status") != "ok":
                 continue
             key = record.get("request_hash")
             if not isinstance(record.get("report"), dict) or not isinstance(
@@ -362,15 +366,7 @@ def warm_cache_from_archive(
             if key in selected:
                 continue  # a newer record for this hash already won
             try:
-                outcome = SolveOutcome(
-                    status="ok",
-                    report=report_from_dict(record["report"]),
-                    error=None,
-                    error_type=None,
-                    elapsed_s=float(record.get("elapsed_s") or 0.0),
-                    steady_solves=int(record.get("steady_solves") or 0),
-                    cache_hit=bool(record.get("cache_hit", False)),
-                )
+                outcome = outcome_from_record(record)
             except Exception:
                 continue  # schema drift / hand-edited record: skip, don't die
             selected[key] = outcome

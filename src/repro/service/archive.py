@@ -1,13 +1,14 @@
-"""Append-only JSONL archive of served requests and their outcomes.
+"""Append-only JSONL archive of resolved requests and their outcomes.
 
-The batch engine writes its archive in one shot at the end of a run; a
-service never ends, so its archive is an *append* stream: one
-self-contained record per resolved job, written as the job resolves.
-Records embed the request (and its content hash) plus either the full
-report dict or the error, so ``repro report`` can aggregate service
-archives and batch archives side by side — and so a rebooted service
-can replay its ``ok`` records into the answer cache
-(:func:`~repro.service.answer_cache.warm_cache_from_archive`,
+One record format serves every archive the system writes: one
+self-contained record per resolved job, embedding the request (and its
+content hash) plus either the full report dict or the error.  A service
+never ends, so its archive is an *append* stream written as jobs
+resolve; the batch engine writes the same records in one shot at the
+end of a run, each tagged with its ``job_id``.  ``repro report``
+therefore aggregates service and batch archives side by side, and a
+rebooted service can replay the ``ok`` records of either into its
+answer cache (:func:`~repro.service.answer_cache.warm_cache_from_archive`,
 ``repro serve --warm-from``): the archive is simultaneously the audit
 log and the cache's persistence layer.
 """
@@ -19,23 +20,24 @@ import threading
 from pathlib import Path
 from typing import Any, TYPE_CHECKING
 
-from ..api.request import report_to_dict, request_to_dict
+from ..api.request import report_from_dict, report_to_dict, request_to_dict
 from ..core.serialize import SCHEMA_VERSION, load_jsonl
+from ..errors import SchedulingError
+from .execution import SolveOutcome
 
-if TYPE_CHECKING:  # imported lazily to avoid a cycle with service.py
+if TYPE_CHECKING:
     from ..api.request import ScheduleRequest
-    from .execution import SolveOutcome
 
-#: Marker distinguishing service records from batch JobResult records.
+#: Marker distinguishing outcome records from legacy batch job records.
 SERVICE_RECORD_KIND = "service"
 
 
 def outcome_record(
     request: "ScheduleRequest",
-    outcome: "SolveOutcome",
+    outcome: SolveOutcome,
     request_hash: str | None = None,
 ) -> dict[str, Any]:
-    """The JSON-ready archive record of one resolved service job.
+    """The JSON-ready archive record of one resolved job.
 
     Pass *request_hash* when the caller already holds it (the service's
     dedup key) to skip recomputing the digest.
@@ -54,6 +56,40 @@ def outcome_record(
         "cache_hit": outcome.cache_hit,
         "report": None if outcome.report is None else report_to_dict(outcome.report),
     }
+
+
+def outcome_from_record(record: dict[str, Any]) -> SolveOutcome:
+    """Load the outcome of an :func:`outcome_record` back.
+
+    An ``ok`` record's report goes through
+    :func:`~repro.api.request.report_from_dict`, so its schedule is
+    revalidated against a rebuilt SoC.  The request itself is under
+    ``record["request"]``.
+
+    Raises
+    ------
+    SchedulingError
+        On a status other than ``ok``/``error``, or a report on an
+        ``error`` record or missing from an ``ok`` one.  A record
+        missing a required key, or whose report does not decode, raises
+        what the decoding raised.
+    """
+    status = record["status"]
+    report = record.get("report")
+    if status not in ("ok", "error") or (status == "ok") == (report is None):
+        raise SchedulingError(
+            f"malformed outcome record: status {status!r} "
+            f"{'without' if report is None else 'with'} a report"
+        )
+    return SolveOutcome(
+        status=status,
+        report=None if report is None else report_from_dict(report),
+        error=record.get("error"),
+        error_type=record.get("error_type"),
+        elapsed_s=float(record.get("elapsed_s") or 0.0),
+        steady_solves=int(record.get("steady_solves") or 0),
+        cache_hit=bool(record.get("cache_hit", False)),
+    )
 
 
 class ReportArchive:
@@ -92,7 +128,7 @@ class ReportArchive:
     def append_outcome(
         self,
         request: "ScheduleRequest",
-        outcome: "SolveOutcome",
+        outcome: SolveOutcome,
         request_hash: str | None = None,
     ) -> None:
         """Append one resolved job's record."""

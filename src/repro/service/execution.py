@@ -1,18 +1,18 @@
-"""Worker-pool execution path of the scheduling service.
+"""Worker-pool execution path of the scheduling service and batch runner.
 
 A worker takes a group of :class:`~repro.api.ScheduleRequest`\\ s — a
 single request is a group of one — and returns one
 :class:`SolveOutcome` per request, *always*, never an exception: the
-pool boundary is exactly where the batch engine's "failures become
-records" rule applies, so one infeasible request cannot poison a
-worker, its group, or the queue position of the requests behind it.
+pool boundary is where failures become records, so one infeasible
+request cannot poison a worker, its group, the queue position of the
+requests behind it, or the rest of a batch.
 
-Workers reuse the engine's execution substrate: thread workers share the
-service's :class:`~repro.engine.cache.ThermalModelCache`, process
-workers use the same per-process cache
-(:func:`~repro.engine.cache.process_local_cache`) as the batch runner's
-process backend, so warm factorisations survive across clients, bursts
-and even interleaved batch runs.
+The service and :class:`~repro.engine.runner.BatchRunner` both run
+their jobs here: thread workers share the caller's
+:class:`~repro.engine.cache.ThermalModelCache`, process workers use the
+per-process cache (:func:`~repro.engine.cache.process_local_cache`),
+so warm factorisations survive across clients, bursts and even
+interleaved batch runs.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Fleet analytics over JSONL archives: the per-solver summary table.
 
-Aggregates the two archive dialects the system writes — batch
-:class:`~repro.engine.jobs.JobResult` records (``repro batch --out``)
-and service outcome records (``repro serve --archive``) — into one
-per-solver summary: job count, error rate, hot-spot rate, mean headroom
-and mean schedule length.  Everything is computed from the raw record
-dicts (no SoC rebuilds, no schedule revalidation), so summarising a
-hundred-thousand-record archive is an I/O-bound streaming pass — the
-seed of the ROADMAP's fleet-analytics layer.
+Aggregates outcome records (:func:`~repro.service.archive.outcome_record`,
+which both ``repro serve --archive`` and ``repro batch --out`` write)
+into one per-solver summary: job count, error rate, hot-spot rate, mean
+headroom and mean schedule length.  Batch archives written before the
+batch engine adopted that record format (``spec``/``status``/``result``
+job records) are still read, one way, so old fleets stay comparable.
+Everything is computed from the raw record dicts (no SoC rebuilds, no
+schedule revalidation), so summarising a hundred-thousand-record
+archive is an I/O-bound streaming pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from ..core.serialize import load_jsonl
+from ..core.serialize import iter_jsonl
 from ..errors import SchedulingError
 from .archive import SERVICE_RECORD_KIND
 
@@ -87,15 +88,33 @@ def _schedule_stats(
     return hot / len(sessions), tl_c - max(temps)
 
 
-def record_stats(record: dict[str, Any]) -> RecordStats:
-    """Normalise one archive record (either dialect) for aggregation.
+def record_stats(record: dict[str, Any], where: str = "record") -> RecordStats:
+    """Normalise one archive record (either format) for aggregation.
 
     Raises
     ------
     SchedulingError
-        On a record that is neither a batch job record nor a service
-        outcome record.
+        On a record that is neither an outcome record nor a legacy
+        batch job record, or whose fields lack the shapes those formats
+        write; the message starts with *where* (an archive's path and
+        line, when summarising files).
     """
+    try:
+        stats = _record_stats(record)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchedulingError(
+            f"{where}: malformed archive record: {type(exc).__name__}: {exc}"
+        ) from exc
+    if stats is None:
+        raise SchedulingError(
+            f"{where}: unrecognised archive record: neither an outcome "
+            f"record (kind/request/report) nor a legacy batch job record "
+            f"(spec/status/result)"
+        )
+    return stats
+
+
+def _record_stats(record: dict[str, Any]) -> RecordStats | None:
     if record.get("kind") == SERVICE_RECORD_KIND or "request" in record:
         solver = record.get("solver") or record["request"].get("solver", "?")
         ok = record.get("status") == "ok"
@@ -128,11 +147,7 @@ def record_stats(record: dict[str, Any]) -> RecordStats:
             length_s=length,
             elapsed_s=float(record.get("elapsed_s", math.nan)),
         )
-    raise SchedulingError(
-        "unrecognised archive record: neither a batch job record "
-        "(spec/status/result) nor a service outcome record "
-        "(kind/request/report)"
-    )
+    return None
 
 
 def _finite_mean(values: list[float]) -> float:
@@ -144,9 +159,15 @@ def summarize_records(
     records: Iterable[dict[str, Any]],
 ) -> list[SolverSummary]:
     """Per-solver summaries of an archive's records, sorted by name."""
+    return _summarize(
+        record_stats(record, f"record {index}")
+        for index, record in enumerate(records, start=1)
+    )
+
+
+def _summarize(records: Iterable[RecordStats]) -> list[SolverSummary]:
     by_solver: dict[str, list[RecordStats]] = {}
-    for record in records:
-        stats = record_stats(record)
+    for stats in records:
         by_solver.setdefault(stats.solver, []).append(stats)
     summaries = []
     for solver in sorted(by_solver):
@@ -184,18 +205,18 @@ def summarize_archives(
     ``repro serve`` races its appender, and losing the in-flight record
     is correct — failing the whole report is not.
     """
-    records: list[dict[str, Any]] = []
-    for path in paths:
-        records.extend(
-            load_jsonl(path, tolerate_torn_tail=tolerate_torn_tail)
-        )
-    if not records:
+    stats = [
+        record_stats(record, f"{path}:{lineno}")
+        for path in paths
+        for lineno, record in iter_jsonl(path, tolerate_torn_tail=tolerate_torn_tail)
+    ]
+    if not stats:
         if empty_ok:
             return []
         raise SchedulingError(
             f"no records found in {', '.join(str(p) for p in paths)}"
         )
-    return summarize_records(records)
+    return _summarize(stats)
 
 
 def render_summary_table(summaries: Sequence[SolverSummary]) -> str:

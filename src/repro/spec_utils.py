@@ -1,12 +1,11 @@
 """Shared helpers for the frozen problem-spec dataclasses.
 
-:class:`~repro.api.ScheduleRequest` and
-:class:`~repro.engine.jobs.JobSpec` both carry a params mapping and the
-same (TL, STCL) limit fields.  The hashing and validation rules live
-here once so the two front doors (and
-:meth:`repro.api.Workbench.solve_soc`) cannot drift; this module sits
-below both ``repro.api`` and ``repro.engine`` in the import graph, so
-either may import it at module level.
+:class:`~repro.api.ScheduleRequest` carries a params mapping and the
+(TL, STCL) limit fields that :meth:`repro.api.Workbench.solve_soc`
+takes as arguments.  The hashing and validation rules live here once so
+the two cannot drift; this module sits below ``repro.api`` and
+``repro.engine`` in the import graph, so either may import it at module
+level.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 from typing import Any, Mapping
+
+from .errors import RequestError
 
 
 class FrozenParams(dict):
@@ -29,7 +30,7 @@ class FrozenParams(dict):
 
     def _immutable(self, *args, **kwargs):
         raise TypeError(
-            "spec params are immutable; build a new request/job with "
+            "spec params are immutable; build a new request with "
             "dataclasses.replace(spec, params={...}) instead"
         )
 
@@ -74,11 +75,9 @@ def validate_limit_fields(
     tl_headroom: float | None,
     stcl: float | None,
     stcl_headroom: float | None,
-    error_cls: type[Exception],
-    prefix: str = "",
     stc_scale: float | None = None,
 ) -> None:
-    """Enforce the shared (TL, STCL) field rules of every spec shape.
+    """Enforce the (TL, STCL) field rules of requests and ``solve_soc``.
 
     Exactly one of the TL pair; ``tl_headroom`` strictly above 1; at
     most one of the STCL pair, each strictly positive; every limit a
@@ -87,9 +86,14 @@ def validate_limit_fields(
     finite positive number (a NaN scale rejects every core, an infinite
     one admits every session).  Whether an STCL is *required* depends
     on the solver's capability flag and is checked by the caller.
+
+    Raises
+    ------
+    RequestError
+        Naming the first rule a field breaks.
     """
     if (tl_c is None) == (tl_headroom is None):
-        raise error_cls(f"{prefix}exactly one of tl_c / tl_headroom is required")
+        raise RequestError("exactly one of tl_c / tl_headroom is required")
     limits = {
         "tl_c": tl_c,
         "tl_headroom": tl_headroom,
@@ -98,24 +102,22 @@ def validate_limit_fields(
     }
     for name, value in limits.items():
         if value is not None and not is_finite_number(value):
-            raise error_cls(f"{prefix}{name} must be a finite number, got {value!r}")
+            raise RequestError(f"{name} must be a finite number, got {value!r}")
     if stc_scale is not None and not is_positive_number(stc_scale):
-        raise error_cls(
-            f"{prefix}stc_scale must be a finite positive number, got {stc_scale!r}"
+        raise RequestError(
+            f"stc_scale must be a finite positive number, got {stc_scale!r}"
         )
     if tl_headroom is not None and tl_headroom <= 1.0:
-        raise error_cls(
-            f"{prefix}tl_headroom must be > 1 (TL at or below the singleton "
+        raise RequestError(
+            f"tl_headroom must be > 1 (TL at or below the singleton "
             f"peak is infeasible), got {tl_headroom!r}"
         )
     if stcl is not None and stcl_headroom is not None:
-        raise error_cls(f"{prefix}at most one of stcl / stcl_headroom may be set")
+        raise RequestError("at most one of stcl / stcl_headroom may be set")
     if stcl is not None and stcl <= 0.0:
-        raise error_cls(f"{prefix}stcl must be positive, got {stcl!r}")
+        raise RequestError(f"stcl must be positive, got {stcl!r}")
     if stcl_headroom is not None and stcl_headroom <= 0.0:
-        raise error_cls(
-            f"{prefix}stcl_headroom must be positive, got {stcl_headroom!r}"
-        )
+        raise RequestError(f"stcl_headroom must be positive, got {stcl_headroom!r}")
 
 
 def is_finite_number(value: Any) -> bool:

@@ -20,116 +20,116 @@ def findings_for(**sources: str):
     return run_rules(project, [get_rule(RULE)])
 
 
-# A miniature JobSpec with explicit (non-asdict) codecs, complete.
+# A miniature ScheduleRequest with explicit (non-asdict) codecs, complete.
 COMPLETE = """
 from dataclasses import dataclass
 
 @dataclass
-class JobSpec:
-    job_id: str
+class ScheduleRequest:
+    soc: str
     tl_c: float
 
-def job_spec_to_dict(spec):
-    return {"schema_version": 1, "job_id": spec.job_id, "tl_c": spec.tl_c}
+def request_to_dict(request):
+    return {"schema_version": 1, "soc": request.soc, "tl_c": request.tl_c}
 
-def job_spec_from_dict(data):
-    return JobSpec(job_id=data["job_id"], tl_c=data["tl_c"])
+def request_from_dict(data):
+    return ScheduleRequest(soc=data["soc"], tl_c=data["tl_c"])
 """
 
 
 class TestToCodec:
     def test_complete_explicit_codec_is_clean(self):
-        assert not findings_for(jobs=COMPLETE)
+        assert not findings_for(requests=COMPLETE)
 
     def test_missing_field_in_to_dict_is_flagged(self):
         found = findings_for(
-            jobs=COMPLETE.replace(' "tl_c": spec.tl_c', ' "x": 0')
+            requests=COMPLETE.replace(' "tl_c": request.tl_c', ' "x": 0')
         )
         assert any(
-            "job_spec_to_dict() does not write field 'tl_c'" in f.message
+            "request_to_dict() does not write field 'tl_c'" in f.message
             for f in found
         )
         f = next(f for f in found if "to_dict" in f.message)
-        assert f.path == "repro/jobs.py"
+        assert f.path == "repro/requests.py"
         assert f.rule == RULE
 
     def test_new_dataclass_field_must_ride_the_codec(self):
         # The historical failure mode: a field lands on the dataclass
         # but not in the codec.
         found = findings_for(
-            jobs=COMPLETE.replace(
+            requests=COMPLETE.replace(
                 "    tl_c: float", "    tl_c: float\n    stcl: float = 0.0"
             )
         )
         messages = [f.message for f in found]
         assert any(
-            "job_spec_to_dict() does not write field 'stcl'" in m
+            "request_to_dict() does not write field 'stcl'" in m
             for m in messages
         )
         assert any(
-            "job_spec_from_dict() does not pass field 'stcl'" in m
+            "request_from_dict() does not pass field 'stcl'" in m
             for m in messages
         )
 
     def test_asdict_codec_is_complete_by_construction(self):
         assert not findings_for(
-            jobs="""
+            requests="""
             from dataclasses import asdict, dataclass
 
             @dataclass
-            class JobSpec:
-                job_id: str
+            class ScheduleRequest:
+                soc: str
                 tl_c: float
                 stcl: float
 
-            def job_spec_to_dict(spec):
-                data = asdict(spec)
+            def request_to_dict(request):
+                data = asdict(request)
                 data["schema_version"] = 1
                 return data
 
-            def job_spec_from_dict(data):
+            def request_from_dict(data):
                 payload = {k: v for k, v in data.items() if k != "schema_version"}
-                return JobSpec(**payload)
+                return ScheduleRequest(**payload)
             """
         )
 
     def test_missing_to_codec_function_is_flagged(self):
         found = findings_for(
-            jobs=COMPLETE.replace("def job_spec_to_dict", "def renamed_to_dict")
+            requests=COMPLETE.replace("def request_to_dict", "def renamed_to_dict")
         )
         assert any(
-            "has no job_spec_to_dict() codec" in f.message for f in found
+            "has no request_to_dict() codec" in f.message for f in found
         )
 
 
 class TestFromCodec:
     def test_missing_from_codec_function_is_flagged(self):
         found = findings_for(
-            jobs=COMPLETE.replace(
-                "def job_spec_from_dict", "def renamed_from_dict"
+            requests=COMPLETE.replace(
+                "def request_from_dict", "def renamed_from_dict"
             )
         )
         assert any(
-            "has no job_spec_from_dict() codec" in f.message for f in found
+            "has no request_from_dict() codec" in f.message for f in found
         )
 
     def test_from_codec_that_never_constructs_is_flagged(self):
         found = findings_for(
-            jobs=COMPLETE.replace(
-                'return JobSpec(job_id=data["job_id"], tl_c=data["tl_c"])',
+            requests=COMPLETE.replace(
+                'return ScheduleRequest(soc=data["soc"], tl_c=data["tl_c"])',
                 "return None",
             )
         )
         assert any(
-            "job_spec_from_dict() never constructs JobSpec" in f.message
+            "request_from_dict() never constructs ScheduleRequest" in f.message
             for f in found
         )
 
     def test_splat_construction_is_complete_by_construction(self):
         assert not findings_for(
-            jobs=COMPLETE.replace(
-                'return JobSpec(job_id=data["job_id"], tl_c=data["tl_c"])',
-                "return JobSpec(**data)",
+            requests=COMPLETE.replace(
+                'return ScheduleRequest(soc=data["soc"], tl_c=data["tl_c"])',
+                "return ScheduleRequest(**data)",
             )
         )
 

@@ -30,15 +30,9 @@ from repro.api.request import (
     request_to_dict,
 )
 from repro.core.serialize import result_to_dict
-from repro.engine.jobs import (
-    JobResult,
-    JobSpec,
-    job_result_from_dict,
-    job_result_to_dict,
-    job_spec_from_dict,
-    job_spec_to_dict,
-)
 from repro.engine.scenarios import ScenarioSpec
+from repro.service.archive import outcome_from_record, outcome_record
+from repro.service.execution import SolveOutcome, solve_requests
 from repro.service.protocol import (
     parse_submit_frame,
     report_frame,
@@ -53,7 +47,7 @@ REQUEST = ScheduleRequest(
 )
 
 GRID = ScenarioSpec(kind="grid", rows=2, cols=2, power_seed=11)
-JOB = JobSpec(job_id="j0", scenario=GRID, tl_c=160.0, stcl=60.0)
+GRID_REQUEST = ScheduleRequest(scenario=GRID, tl_c=160.0, stcl=60.0)
 
 
 def jsonl_hop(payload: dict) -> dict:
@@ -124,30 +118,26 @@ class TestReportAllFields:
         assert frame["report"] == jsonl_hop(report_to_dict(report))
 
 
-class TestJobAllFields:
-    def test_spec_every_field_round_trips(self):
-        data = jsonl_hop(job_spec_to_dict(JOB))
-        for f in dataclasses.fields(JobSpec):
+class TestOutcomeAllFields:
+    def test_every_field_appears_in_the_record(self):
+        (outcome,) = solve_requests([GRID_REQUEST])
+        data = jsonl_hop(outcome_record(GRID_REQUEST, outcome))
+        for f in dataclasses.fields(SolveOutcome):
             assert f.name in data, f.name
-        assert job_spec_from_dict(data) == JOB
 
-    def test_result_every_field_round_trips(self):
-        from repro.engine import run_job
-
-        result = run_job(JOB)
-        assert result.status == "ok"
-        data = jsonl_hop(job_result_to_dict(result))
-        for f in dataclasses.fields(JobResult):
-            assert f.name in data, f.name
-        loaded = job_result_from_dict(data, soc=GRID.build_soc())
-        for name, value in field_values(result).items():
-            other = getattr(loaded, name)
-            if name == "spec":
-                assert other == value, name
-            elif name == "result":
-                assert result_to_dict(other) == result_to_dict(value), name
-            else:
-                assert other == value, name
+    def test_every_field_round_trips(self):
+        infeasible = dataclasses.replace(GRID_REQUEST, tl_c=46.0)
+        for request, outcome in zip(
+            (GRID_REQUEST, infeasible),
+            solve_requests([GRID_REQUEST, infeasible]),
+        ):
+            loaded = outcome_from_record(jsonl_hop(outcome_record(request, outcome)))
+            for name, value in field_values(outcome).items():
+                other = getattr(loaded, name)
+                if name == "report" and value is not None:
+                    assert_reports_equal(other, value)
+                else:
+                    assert other == value, name
 
 
 class TestPreTimingsBackCompat:

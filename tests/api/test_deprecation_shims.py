@@ -1,40 +1,48 @@
-"""The old constructors keep working — via warning shims at the root.
+"""The old root scheduler names are gone; their canonical homes stay.
 
-Direct construction predates the unified solver API; the package root
-still serves those names so existing scripts run, but each access
-carries a DeprecationWarning pointing at ``solve(request)`` and at the
-canonical (non-deprecated) home under ``repro.core``.
+Direct construction predates the unified solver API.  The package root
+used to serve the scheduler classes through warning shims; those shims
+are removed, so root access is an ordinary ``AttributeError``, while
+the classes themselves remain first-class citizens under
+``repro.core`` and import there without any warning.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
 import repro
 import repro.core
 
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "ThermalAwareScheduler",
-        "PowerConstrainedScheduler",
-        "PowerConstrainedConfig",
-        "sequential_schedule",
-    ],
-)
-def test_root_access_warns_and_resolves(name):
-    with pytest.warns(DeprecationWarning, match="unified solver API"):
-        shimmed = getattr(repro, name)
-    assert shimmed is getattr(repro.core, name)
+REMOVED_ROOT_NAMES = [
+    "ThermalAwareScheduler",
+    "PowerConstrainedScheduler",
+    "PowerConstrainedConfig",
+    "sequential_schedule",
+]
 
 
-def test_old_scheduler_call_shape_still_works():
+@pytest.mark.parametrize("name", REMOVED_ROOT_NAMES)
+def test_root_access_raises(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(repro, name)
+    assert name not in repro.__all__
+
+
+@pytest.mark.parametrize("name", REMOVED_ROOT_NAMES)
+def test_canonical_home_resolves_without_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert callable(getattr(repro.core, name))
+
+
+def test_old_scheduler_call_shape_works_from_its_home():
+    from repro.core.scheduler import ThermalAwareScheduler
     from repro.soc.library import alpha15_soc
 
-    with pytest.warns(DeprecationWarning):
-        scheduler_cls = repro.ThermalAwareScheduler
-    result = scheduler_cls(alpha15_soc()).schedule(tl_c=175.0, stcl=40.0)
+    result = ThermalAwareScheduler(alpha15_soc()).schedule(tl_c=175.0, stcl=40.0)
     assert result.max_temperature_c < 175.0
 
 
@@ -55,8 +63,7 @@ def test_reduced_fast_path_names_are_first_class(recwarn):
 
     They live at the package root *and* under ``repro.thermal`` with no
     DeprecationWarning on access, and both spellings resolve to the
-    same objects — keeping the shim table and the canonical homes in
-    sync as the API grows.
+    same objects.
     """
     import repro.thermal
 

@@ -13,13 +13,7 @@ import json
 
 from repro.api import ScheduleRequest, solve
 from repro.api.request import report_from_dict, report_to_dict
-from repro.engine import (
-    JobSpec,
-    ScenarioSpec,
-    job_result_from_dict,
-    job_result_to_dict,
-    run_job,
-)
+from repro.engine import BatchRunner, ScenarioSpec, load_batch_jsonl
 from repro.service import (
     AnswerCache,
     ReportArchive,
@@ -61,26 +55,29 @@ class TestReportTimingsRoundTrip:
 
 
 GRID = ScenarioSpec(kind="grid", rows=2, cols=2, power_seed=11)
-JOB = JobSpec(job_id="j0", scenario=GRID, tl_c=160.0, stcl=60.0)
+JOBS = {"j0": ScheduleRequest(scenario=GRID, tl_c=160.0, stcl=60.0)}
 
 
-class TestJobResultTimingsRoundTrip:
-    def test_batch_job_carries_worker_phase_and_round_trips(self):
-        result = run_job(JOB)
-        assert result.status == "ok"
-        assert result.timings is not None
-        assert result.timings["worker"] == result.elapsed_s
-        assert result.timings["total"] <= result.timings["worker"]
-        data = json.loads(json.dumps(job_result_to_dict(result)))
-        loaded = job_result_from_dict(data, soc=GRID.build_soc())
-        assert loaded.timings == result.timings
+class TestBatchTimingsRoundTrip:
+    def test_batch_job_carries_worker_phase_and_round_trips(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        _, outcome = BatchRunner().run(JOBS, jsonl_path=path)["j0"]
+        assert outcome.status == "ok"
+        timings = outcome.report.timings
+        assert timings is not None
+        assert timings["worker"] == outcome.elapsed_s
+        assert timings["total"] <= timings["worker"]
+        _, loaded = load_batch_jsonl(path)["j0"]
+        assert loaded.report.timings == timings
 
-    def test_pre_tracing_job_record_loads_as_none(self):
-        result = run_job(JOB)
-        data = job_result_to_dict(result)
-        del data["timings"]
-        loaded = job_result_from_dict(data, soc=GRID.build_soc())
-        assert loaded.timings is None
+    def test_pre_tracing_job_record_loads_as_none(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        BatchRunner().run(JOBS, jsonl_path=path)
+        record = json.loads(path.read_text())
+        del record["report"]["timings"]
+        path.write_text(json.dumps(record) + "\n")
+        _, loaded = load_batch_jsonl(path)["j0"]
+        assert loaded.report.timings is None
 
 
 class TestWarmStartFromPreTracingArchive:

@@ -6,7 +6,7 @@ wire protocol accepts as any JSON (NaN included).  A NaN
 ``weight_factor`` committed schedules whose weights read NaN, and an
 unknown ``validation`` or ``on_stuck`` silently picked the other branch.
 Every field is now checked for type and range at the config, so each
-front door (``Workbench.solve``, a batch ``JobSpec``, a TCP submit)
+front door (``Workbench.solve``, a batch job, a TCP submit)
 answers with the library's error instead.
 """
 
@@ -20,8 +20,7 @@ import pytest
 
 from repro.api import ScheduleRequest, Workbench
 from repro.core.scheduler import SchedulerConfig
-from repro.engine.jobs import JobSpec
-from repro.engine.runner import run_job
+from repro.engine.runner import BatchRunner
 from repro.engine.scenarios import ScenarioSpec
 from repro.errors import SchedulingError, ServiceError
 from repro.service import AsyncServiceClient, ScheduleServer, ScheduleService
@@ -89,28 +88,15 @@ def test_workbench_solve_rejects(params, field):
 
 
 @pytest.mark.parametrize("params, field", BAD_PARAMS, ids=IDS)
-def test_job_spec_becomes_an_error_record(params, field):
-    spec = JobSpec(
-        job_id="bad",
+def test_batch_job_becomes_an_error_outcome(params, field):
+    request = ScheduleRequest(
         scenario=ScenarioSpec(kind="alpha15", power_seed=2005),
-        solver_params=params,
+        params=params,
         **LIMITS,
     )
-    record = run_job(spec)
-    assert record.status == "error"
-    assert field in record.error
-
-
-def test_job_spec_knobs_are_checked_too():
-    spec = JobSpec(
-        job_id="bad",
-        scenario=ScenarioSpec(kind="alpha15", power_seed=2005),
-        weight_factor=math.nan,
-        **LIMITS,
-    )
-    record = run_job(spec)
-    assert record.status == "error"
-    assert "weight_factor" in record.error
+    _, outcome = BatchRunner().run({"bad": request})["bad"]
+    assert outcome.status == "error"
+    assert field in outcome.error
 
 
 def test_tcp_submit_gets_an_error_frame_and_no_hang():

@@ -117,14 +117,25 @@ class TestGenerateScenarios:
 class TestGenerateFleet:
     def test_jobs_have_unique_ids_and_headroom_limits(self):
         jobs = generate_fleet(15, seed=0)
-        assert len({j.job_id for j in jobs}) == 15
-        for job in jobs:
+        assert len(jobs) == 15
+        for index, (job_id, job) in enumerate(jobs.items()):
+            assert job_id == f"job-{index:05d}-{job.scenario.name}"
             assert job.tl_headroom is not None and job.tl_headroom > 1.0
             assert job.stcl_headroom is not None and job.stcl_headroom > 1.0
 
+    def test_jobs_ask_with_the_solver_defaults(self):
+        """No spelled-out scheduler knobs: the solver's defaults apply."""
+        jobs = generate_fleet(3, seed=0, solver_params={"max_discards": 5})
+        assert all(j.params == {"max_discards": 5} for j in jobs.values())
+        assert all(j.solver == "thermal_aware" for j in jobs.values())
+
+    def test_stcl_only_for_solvers_that_use_it(self):
+        jobs = generate_fleet(3, seed=0, solver="sequential")
+        assert all(not j.has_stcl for j in jobs.values())
+
     def test_hypothetical7_gets_vertical_path(self):
         jobs = generate_fleet(3, seed=0)
-        by_kind = {j.scenario.kind: j for j in jobs}
+        by_kind = {j.scenario.kind: j for j in jobs.values()}
         assert by_kind["hypothetical7"].include_vertical
         assert not by_kind["alpha15"].include_vertical
 

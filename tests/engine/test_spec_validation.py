@@ -5,24 +5,31 @@ scheduler and commit schedules with NaN temperatures or lengths, a NaN
 ``stc_scale`` forced every core into a singleton and an infinite one
 packed as if there were no STCL.  Every front door now rejects them with
 the library's own errors: :class:`ScenarioSpec` (hence
-:class:`ScheduleRequest`, :class:`JobSpec` and their dict loaders), the
-wire protocol, and the session-model configuration.
+:class:`ScheduleRequest` and its dict loader), the batch archive loader,
+the wire protocol, and the session-model configuration.  A warm-start
+skips an archived answer that carries one and keeps warming from the
+records behind it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
 from repro.api import ScheduleRequest, Workbench, request_from_dict
 from repro.api.request import request_to_dict
+from repro.core.serialize import load_jsonl
 from repro.core.session_model import SessionModelConfig
-from repro.engine.jobs import JobSpec, job_spec_from_dict, job_spec_to_dict
+from repro.engine.runner import BatchRunner, load_batch_jsonl
 from repro.engine.scenarios import ScenarioSpec
 from repro.errors import ProtocolError, RequestError, SchedulingError
+from repro.service.answer_cache import AnswerCache, warm_cache_from_archive
 from repro.service.protocol import decode_frame, parse_submit_frame, submit_frame
 from repro.soc.library import alpha15_soc
 
@@ -67,6 +74,48 @@ def _ids(pair):
     return f"{pair[0]}={pair[1]!r}"
 
 
+@pytest.fixture(scope="module")
+def archived_job(tmp_path_factory) -> dict[str, Any]:
+    """The ``ok`` batch archive record of one 3x3 grid job."""
+    path = tmp_path_factory.mktemp("batch") / "fleet.jsonl"
+    BatchRunner().run(
+        {"j": ScheduleRequest(scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)},
+        jsonl_path=path,
+    )
+    (record,) = load_jsonl(path)
+    assert record["status"] == "ok"
+    return record
+
+
+def _with_request(record: dict[str, Any], edit) -> dict[str, Any]:
+    """A copy of *record* with *edit* applied to both copies of its request."""
+    record = copy.deepcopy(record)
+    edit(record["request"])
+    edit(record["report"]["request"])
+    return record
+
+
+def _write_jsonl(path: Path, *records: dict[str, Any]) -> Path:
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return path
+
+
+def _assert_batch_archive_rejects(tmp_path, record, match):
+    path = _write_jsonl(tmp_path / "fleet.jsonl", record)
+    with pytest.raises(SchedulingError, match=rf"fleet\.jsonl:1: .*{match}"):
+        load_batch_jsonl(path)
+
+
+def _assert_warm_start_skips(tmp_path, good, drifted):
+    """The drifted newest record neither loads nor takes the one slot."""
+    path = _write_jsonl(tmp_path / "served.jsonl", good, drifted)
+    cache = AnswerCache(max_entries=1)
+    assert warm_cache_from_archive(cache, path) == 1
+    outcome = cache.get(good["request_hash"])
+    assert outcome is not None and outcome.report is not None
+    assert outcome.report.request.content_hash() == good["request_hash"]
+
+
 @pytest.mark.parametrize("field,value", BAD_FIELDS, ids=map(_ids, BAD_FIELDS))
 class TestScenarioFields:
     def test_scenario_spec(self, field, value):
@@ -81,15 +130,6 @@ class TestScenarioFields:
                 stcl=60.0,
             )
 
-    def test_job_spec(self, field, value):
-        with pytest.raises(SchedulingError, match=field):
-            JobSpec(
-                job_id="j",
-                scenario=ScenarioSpec(**{**GRID, field: value}),
-                tl_c=120.0,
-                stcl=60.0,
-            )
-
     def test_request_from_dict(self, field, value):
         data = request_to_dict(
             ScheduleRequest(scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)
@@ -98,13 +138,17 @@ class TestScenarioFields:
         with pytest.raises(SchedulingError, match=field):
             request_from_dict(data)
 
-    def test_job_spec_from_dict(self, field, value):
-        data = job_spec_to_dict(
-            JobSpec(job_id="j", scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)
+    def test_batch_archive(self, field, value, archived_job, tmp_path):
+        record = _with_request(
+            archived_job, lambda request: request["scenario"].update({field: value})
         )
-        data["scenario"][field] = value
-        with pytest.raises(SchedulingError, match=field):
-            job_spec_from_dict(data)
+        _assert_batch_archive_rejects(tmp_path, record, field)
+
+    def test_warm_start_skips_it(self, field, value, archived_job, tmp_path):
+        drifted = _with_request(
+            archived_job, lambda request: request["scenario"].update({field: value})
+        )
+        _assert_warm_start_skips(tmp_path, archived_job, drifted)
 
     def test_builtin_kinds_check_them_too(self, field, value):
         with pytest.raises(SchedulingError, match=field):
@@ -131,29 +175,23 @@ class TestStcScale:
         with pytest.raises(RequestError, match="stc_scale"):
             ScheduleRequest(soc="alpha15", tl_c=165.0, stcl=60.0, stc_scale=value)
 
-    def test_job_spec(self, value):
-        with pytest.raises(SchedulingError, match="stc_scale"):
-            JobSpec(
-                job_id="j",
-                scenario=ScenarioSpec(**GRID),
-                tl_c=120.0,
-                stcl=60.0,
-                stc_scale=value,
-            )
-
     def test_request_from_dict(self, value):
         data = request_to_dict(ScheduleRequest(soc="alpha15", tl_c=165.0, stcl=60.0))
         data["stc_scale"] = value
         with pytest.raises(RequestError, match="stc_scale"):
             request_from_dict(data)
 
-    def test_job_spec_from_dict(self, value):
-        data = job_spec_to_dict(
-            JobSpec(job_id="j", scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)
+    def test_batch_archive(self, value, archived_job, tmp_path):
+        record = _with_request(
+            archived_job, lambda request: request.update(stc_scale=value)
         )
-        data["stc_scale"] = value
-        with pytest.raises(SchedulingError, match="stc_scale"):
-            job_spec_from_dict(data)
+        _assert_batch_archive_rejects(tmp_path, record, "stc_scale")
+
+    def test_warm_start_skips_it(self, value, archived_job, tmp_path):
+        drifted = _with_request(
+            archived_job, lambda request: request.update(stc_scale=value)
+        )
+        _assert_warm_start_skips(tmp_path, archived_job, drifted)
 
     def test_session_model_config(self, value):
         with pytest.raises(SchedulingError, match="stc_scale"):
@@ -169,6 +207,16 @@ def test_nan_stc_scale_submit_frame_is_a_protocol_error():
     frame["request"]["stc_scale"] = math.nan
     with pytest.raises(ProtocolError, match="stc_scale"):
         parse_submit_frame(decode_frame(json.dumps(frame)))
+
+
+def test_non_finite_limits_in_a_batch_archive_rejected(
+    non_finite_limits, archived_job, tmp_path
+):
+    def edit(request):
+        request.update({"tl_c": None, "stcl": None, **non_finite_limits})
+
+    record = _with_request(archived_job, edit)
+    _assert_batch_archive_rejects(tmp_path, record, "must be a finite number")
 
 
 def test_valid_numeric_types_still_accepted():

@@ -404,12 +404,12 @@ class TestWarmStart:
 
         import repro.service.answer_cache as answer_cache_module
 
-        real_decode = answer_cache_module.report_from_dict
+        real_decode = answer_cache_module.outcome_from_record
         decodes = []
         monkeypatch.setattr(
             answer_cache_module,
-            "report_from_dict",
-            lambda data: (decodes.append(1), real_decode(data))[1],
+            "outcome_from_record",
+            lambda record: (decodes.append(1), real_decode(record))[1],
         )
         cache = AnswerCache(max_entries=2)
         loaded = warm_cache_from_archive(cache, archive_path)

@@ -1,14 +1,24 @@
-"""Service archive writer + `repro report` aggregation tests."""
+"""Archive writer + `repro report` aggregation tests."""
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.api import ScheduleRequest
-from repro.engine import JobSpec, ScenarioSpec, BatchRunner
+from repro.cli import report_main
+from repro.engine import (
+    BatchRunner,
+    FleetConfig,
+    ScenarioSpec,
+    ThermalModelCache,
+    generate_fleet,
+)
 from repro.errors import SchedulingError
 from repro.service import (
     ReportArchive,
@@ -118,15 +128,12 @@ class TestAggregation:
             archive.append_record(record)
 
         batch_path = tmp_path / "batch.jsonl"
-        jobs = [
-            JobSpec(
-                job_id=f"j{i}",
-                scenario=ScenarioSpec(kind="grid", rows=2, cols=2),
-                tl_headroom=1.3,
-                stcl_headroom=2.0,
-            )
-            for i in range(2)
-        ]
+        request = ScheduleRequest(
+            scenario=ScenarioSpec(kind="grid", rows=2, cols=2),
+            tl_headroom=1.3,
+            stcl_headroom=2.0,
+        )
+        jobs = {"j0": request, "j1": request}
         # Same scenario twice -> distinct ids, identical stats.
         BatchRunner().run(jobs, jsonl_path=batch_path)
 
@@ -200,3 +207,127 @@ class TestTornTailArchives:
         out = capsys.readouterr().out
         assert "thermal_aware" in out
         assert "sequential" in out
+
+
+#: A legacy batch job record, written by the ``job_result_to_dict``
+#: codec the batch engine used before it adopted the outcome record.
+LEGACY_ARCHIVE = Path(__file__).parent / "data" / "legacy_job_result.jsonl"
+
+
+def legacy_record() -> dict:
+    return json.loads(LEGACY_ARCHIVE.read_text())
+
+
+def ok_record_without_result() -> dict:
+    record = outcome_record(REQUEST, solve_one(REQUEST))
+    del record["report"]["result"]
+    return record
+
+
+def legacy_record_with_non_numeric_limit() -> dict:
+    record = legacy_record()
+    record["tl_c"] = "hot"
+    return record
+
+
+@pytest.mark.parametrize(
+    "make_record, message",
+    [
+        (lambda: [1, 2], "AttributeError"),
+        (ok_record_without_result, "KeyError: 'result'"),
+        (legacy_record_with_non_numeric_limit, "ValueError"),
+        (lambda: {"hello": "world"}, "unrecognised archive record"),
+    ],
+    ids=["non-object", "ok-without-result", "legacy-hot-tl", "unknown-shape"],
+)
+def test_report_names_a_malformed_record(tmp_path, capsys, make_record, message):
+    """`repro report` names the bad record and exits 1, no traceback."""
+    path = tmp_path / "bad.jsonl"
+    good = outcome_record(REQUEST, solve_one(REQUEST))
+    path.write_text(json.dumps(good) + "\n" + json.dumps(make_record()) + "\n")
+    assert report_main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}:2: ")
+    assert message in err
+
+
+def summary_rows(path) -> list:
+    """Per-solver summary rows of one archive, solve time aside."""
+    return [
+        dataclasses.replace(row, mean_elapsed_s=0.0)
+        for row in summarize_archives([path])
+    ]
+
+
+class TestOneArchiveFormat:
+    """Batch and service archives are one format, all on cold caches."""
+
+    @pytest.fixture
+    def fleet(self):
+        config = FleetConfig(include_builtins=False)
+        return {
+            f"{solver}/{job_id}": request
+            for solver in ("thermal_aware", "sequential")
+            for job_id, request in generate_fleet(
+                3, seed=3, config=config, solver=solver
+            ).items()
+        }
+
+    def test_service_warmed_from_a_batch_archive_answers_from_cache(
+        self, tmp_path, fleet
+    ):
+        path = tmp_path / "fleet.jsonl"
+        BatchRunner(cache=ThermalModelCache()).run(fleet, jsonl_path=path)
+
+        async def main():
+            async with ScheduleService(
+                backend="thread", max_workers=1, warm_from=path
+            ) as svc:
+                reports = [await svc.solve(request) for request in fleet.values()]
+                return reports, svc.metrics()
+
+        reports, metrics = asyncio.run(main())
+        assert all(report.cached for report in reports)
+        assert metrics.answer_cache.warmed == len(fleet)
+        assert metrics.answer_hits == len(fleet)
+        assert metrics.solves_started == 0
+
+    def test_batch_and_service_archives_summarise_alike(self, tmp_path, fleet):
+        batch_path = tmp_path / "fleet.jsonl"
+        BatchRunner(cache=ThermalModelCache()).run(fleet, jsonl_path=batch_path)
+        service_path = tmp_path / "served.jsonl"
+
+        async def main():
+            async with ScheduleService(
+                backend="thread", max_workers=1, archive=service_path
+            ) as svc:
+                for request in fleet.values():
+                    await svc.solve(request)
+
+        asyncio.run(main())
+        rows = summary_rows(batch_path)
+        assert [row.solver for row in rows] == ["sequential", "thermal_aware"]
+        assert rows == summary_rows(service_path)
+
+    def test_legacy_job_record_still_summarises(self, tmp_path, capsys):
+        assert report_main([str(LEGACY_ARCHIVE)]) == 0
+        out = capsys.readouterr().out
+        assert "thermal_aware" in out
+        assert "1 records over 1 solvers, 0 errors" in out
+        # The legacy record answers the same question a batch job asks
+        # today; both summarise to the same row.
+        spec = legacy_record()["spec"]
+        request = ScheduleRequest(
+            scenario=ScenarioSpec(**spec["scenario"]),
+            tl_headroom=spec["tl_headroom"],
+            stcl_headroom=spec["stcl_headroom"],
+        )
+        path = tmp_path / "fleet.jsonl"
+        BatchRunner().run({spec["job_id"]: request}, jsonl_path=path)
+        assert summary_rows(LEGACY_ARCHIVE) == summary_rows(path)
+
+    def test_legacy_record_without_solver_reads_as_thermal_aware(self):
+        record = legacy_record()
+        del record["spec"]["solver"]  # written before the solver field
+        assert record_stats(record).solver == "thermal_aware"

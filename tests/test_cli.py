@@ -245,7 +245,7 @@ class TestBatchSolverSwitch:
         assert exit_code == 0
         records = [json.loads(line) for line in target.read_text().splitlines()]
         assert len(records) == 4
-        assert {r["spec"]["solver"] for r in records} == {solver}
+        assert {r["request"]["solver"] for r in records} == {solver}
         assert all(r["status"] == "ok" for r in records)
 
     def test_solver_param_forwarded(self, tmp_path):
@@ -257,7 +257,7 @@ class TestBatchSolverSwitch:
         assert exit_code == 0
         records = [json.loads(line) for line in target.read_text().splitlines()]
         assert all(
-            r["spec"]["solver_params"] == {"sort_descending": False}
+            r["request"]["params"] == {"sort_descending": False}
             for r in records
         )
 
