@@ -28,6 +28,7 @@ import pytest
 
 from repro.api import ScheduleRequest
 from repro.engine import BatchRunner, generate_fleet
+from repro.obs import HistogramRegistry
 from repro.service import (
     AsyncServiceClient,
     ChaosProxy,
@@ -462,14 +463,21 @@ def _median_hit_latency(port: int, request: ScheduleRequest, rounds: int) -> flo
     return statistics.median(samples)
 
 
+class _NullHistograms(HistogramRegistry):
+    """A registry that records nothing: the recording-free baseline."""
+
+    def observe(self, name: str, value: float) -> None:
+        pass
+
+
 def test_bench_service_tracing_overhead():
     """Tracing + histograms must not tax the hit path beyond 10%.
 
     The cached-hit round-trip is the service's fastest path, so it is
     where per-request observability overhead (trace stamping, two
     histogram observations, the e2e clock reads) would show first.
-    ``observability=False`` is exactly the pre-tracing code path — the
-    traced hit median must stay within 10% of it (plus a 200 us
+    The baseline is a service whose histogram registry records nothing
+    — the traced hit median must stay within 10% of it (plus a 200 us
     absolute floor: at ~100 us round-trips, scheduler jitter on a
     loaded CI box dwarfs any multiplicative bound).
     """
@@ -477,7 +485,7 @@ def test_bench_service_tracing_overhead():
     rounds = 300
 
     with _live_server(
-        backend="thread", max_workers=2, observability=False
+        backend="thread", max_workers=2, histograms=_NullHistograms()
     ) as port:
         untraced_s = _median_hit_latency(port, request, rounds)
     with _live_server(backend="thread", max_workers=2) as port:

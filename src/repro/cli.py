@@ -1009,7 +1009,7 @@ def fleet_main(argv: list[str] | None = None) -> int:
 def submit_main(argv: list[str] | None = None) -> int:
     """``repro submit`` — send requests to a running ``repro serve``."""
     from .api import request_from_dict
-    from .core.serialize import load_jsonl
+    from .core.serialize import iter_jsonl
     from .errors import ServiceError
     from .service import DEFAULT_PORT, ServiceClient
 
@@ -1070,10 +1070,19 @@ def submit_main(argv: list[str] | None = None) -> int:
                     "drop --soc/--kind (the file's records are submitted "
                     "as-is)"
                 )
-            records = load_jsonl(args.requests)
-            if not records:
+            requests = []
+            for lineno, record in iter_jsonl(args.requests):
+                try:
+                    requests.append(request_from_dict(record))
+                except (
+                    ReproError, KeyError, TypeError, ValueError, AttributeError
+                ) as exc:
+                    raise ReproError(
+                        f"{args.requests}:{lineno}: malformed request "
+                        f"record: {type(exc).__name__}: {exc}"
+                    ) from exc
+            if not requests:
                 raise ReproError(f"no request records in {args.requests}")
-            requests = [request_from_dict(record) for record in records]
         else:
             requests = [request_from_args(args)]
         requests = requests * args.repeat

@@ -17,7 +17,10 @@ and that answers with :class:`~repro.api.SolveReport`\\ s:
 * :mod:`protocol` — the newline-delimited JSON frame format
   (submit/report/error/stats/ping/metrics plus the progress/event
   push frames of a streaming submit);
-* :mod:`server` — :class:`ScheduleServer`, the asyncio TCP front end;
+* :mod:`endpoint` — :class:`~repro.service.endpoint.FrameEndpoint`,
+  the one JSONL-over-TCP connection loop that the server and the
+  router subclass;
+* :mod:`server` — :class:`ScheduleServer`, the endpoint over one service;
 * :mod:`client` — :class:`AsyncServiceClient` (pipelined asyncio) and
   :class:`ServiceClient` (blocking wrapper);
 * :mod:`archive` — the JSONL outcome record shared by service and

@@ -1,7 +1,8 @@
 """The fleet router: one JSONL endpoint in front of N shards.
 
-:class:`FleetRouter` binds the same wire protocol as
-:class:`~repro.service.server.ScheduleServer` and makes a fleet of
+:class:`FleetRouter` is a :class:`~repro.service.endpoint.FrameEndpoint`
+like :class:`~repro.service.server.ScheduleServer` — one connection
+loop, one frame decoder, one ``send`` — and makes a fleet of
 ``repro serve`` shards look like one big service:
 
 * **submit** routes by the request's
@@ -35,11 +36,7 @@ import asyncio
 import time
 from typing import Any, Awaitable, Callable, Sequence
 
-from ...errors import (
-    ProtocolError,
-    ServiceConnectionError,
-    ServiceError,
-)
+from ...errors import ProtocolError, ServiceConnectionError, ServiceError
 from ...obs.prometheus import (
     MetricFamily,
     counter_family,
@@ -48,14 +45,8 @@ from ...obs.prometheus import (
     render_families,
 )
 from ..client import AsyncServiceClient
-from ..protocol import (
-    DEFAULT_ROUTER_PORT,
-    MAX_FRAME_BYTES,
-    decode_frame,
-    encode_frame,
-    error_frame,
-    parse_submit_frame,
-)
+from ..endpoint import FrameConnection, FrameEndpoint
+from ..protocol import DEFAULT_ROUTER_PORT, error_frame, parse_submit_frame
 from .health import ShardHealth
 from .retry import RetryPolicy
 from .ring import HashRing
@@ -87,7 +78,7 @@ def parse_shard(spec: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
-class FleetRouter:
+class FleetRouter(FrameEndpoint):
     """Consistent-hash routing front end over a fleet of shards.
 
     Parameters
@@ -130,6 +121,7 @@ class FleetRouter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[Any]] | None = None,
     ) -> None:
+        super().__init__(host, port)
         if not shards:
             raise ServiceError("a fleet needs at least one shard")
         names = [f"{h}:{p}" for h, p in (parse_shard(s) for s in shards)]
@@ -160,9 +152,6 @@ class FleetRouter:
         self._probe_interval_s = probe_interval_s
         self._probe_timeout_s = probe_timeout_s
         self._sleep = sleep if sleep is not None else asyncio.sleep
-        self._host = host
-        self._requested_port = port
-        self._server: asyncio.base_events.Server | None = None
         self._probe_task: asyncio.Task | None = None
         self._started_at = 0.0
 
@@ -184,18 +173,6 @@ class FleetRouter:
         """Shard names in deterministic order."""
         return tuple(sorted(self._health))
 
-    @property
-    def port(self) -> int:
-        """The actually bound port (meaningful after :meth:`start`)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def host(self) -> str:
-        """The front bind host."""
-        return self._host
-
     def health(self, shard: str) -> ShardHealth:
         """The health record of *shard* (``host:port``)."""
         return self._health[shard]
@@ -212,24 +189,10 @@ class FleetRouter:
 
     async def start(self) -> None:
         """Bind the front port and start the probe loop."""
-        if self._server is not None:
-            raise ProtocolError("router is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._requested_port,
-            limit=MAX_FRAME_BYTES,
-        )
+        await super().start()
         self._started_at = time.perf_counter()
         if self._probe_interval_s is not None:
             self._probe_task = asyncio.create_task(self._probe_loop())
-
-    async def serve_forever(self) -> None:
-        """Block until cancelled (the CLI's main coroutine)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Close the front port, the probe loop and every shard client."""
@@ -240,20 +203,10 @@ class FleetRouter:
             except asyncio.CancelledError:
                 pass
             self._probe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         for client in self._clients.values():
             await client.close()
         self._clients.clear()
-
-    async def __aenter__(self) -> "FleetRouter":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
 
     # -- shard connections and probes --------------------------------------------------
 
@@ -299,123 +252,53 @@ class FleetRouter:
             await self._sleep(self._probe_interval_s)
             await self.probe_once()
 
-    # -- per-connection handling -------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, ValueError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    await self._handle_frame(line, writer, write_lock, pending)
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-        finally:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    # -- frame dispatch ----------------------------------------------------------------
 
     async def _handle_frame(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pending: set[asyncio.Task],
+        self, frame: dict[str, Any], connection: FrameConnection
     ) -> None:
-        try:
-            frame = decode_frame(line)
-        except ProtocolError as exc:
-            await self._send(
-                writer, write_lock, error_frame(None, str(exc), "ProtocolError")
-            )
-            return
         frame_id = frame.get("id")
         frame_type = frame["type"]
         if frame_type == "ping":
             # The router's own liveness, not a fan-out: a load balancer
             # probing the fleet endpoint asks about *this* process.
-            await self._send(writer, write_lock, {"type": "pong", "id": frame_id})
+            await connection.send({"type": "pong", "id": frame_id})
         elif frame_type == "stats":
-            task = asyncio.create_task(
-                self._answer_stats(frame_id, writer, write_lock)
-            )
-            pending.add(task)
-            task.add_done_callback(pending.discard)
+            connection.spawn(self._answer_stats(frame_id, connection))
         elif frame_type == "fleet_stats":
-            task = asyncio.create_task(
-                self._answer_fleet_stats(frame_id, writer, write_lock)
-            )
-            pending.add(task)
-            task.add_done_callback(pending.discard)
+            connection.spawn(self._answer_fleet_stats(frame_id, connection))
         elif frame_type == "metrics":
-            await self._send(
-                writer,
-                write_lock,
-                {"type": "metrics", "id": frame_id, "text": self.metrics_text()},
+            await connection.send(
+                {"type": "metrics", "id": frame_id, "text": self.metrics_text()}
             )
         elif frame_type == "submit":
-            await self._handle_submit(frame, frame_id, writer, write_lock, pending)
-        else:
-            # A client sent a server-side frame type (report/error/...).
-            await self._send(
-                writer,
-                write_lock,
-                error_frame(
-                    frame_id,
-                    f"clients may not send {frame_type!r} frames",
-                    "ProtocolError",
-                ),
-            )
+            await self._handle_submit(frame, frame_id, connection)
 
     # -- submit routing ----------------------------------------------------------------
 
     async def _handle_submit(
-        self,
-        frame: dict,
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pending: set[asyncio.Task],
+        self, frame: dict[str, Any], frame_id: Any, connection: FrameConnection
     ) -> None:
         try:
             request, timeout_s, stream = parse_submit_frame(frame)
         except ProtocolError as exc:
-            await self._send(
-                writer, write_lock, error_frame(frame_id, str(exc), "ProtocolError")
+            await connection.send(
+                error_frame(frame_id, str(exc), "ProtocolError")
             )
             return
         # One task per submit: the shard roundtrip must not stall this
         # connection's read loop, or pipelining dies at the router.
-        task = asyncio.create_task(
-            self._route_submit(
-                request, timeout_s, stream, frame_id, writer, write_lock
-            )
+        connection.spawn(
+            self._route_submit(request, timeout_s, stream, frame_id, connection)
         )
-        pending.add(task)
-        task.add_done_callback(pending.discard)
 
     async def _route_submit(
         self,
         request,
         timeout_s: float | None,
         stream: bool,
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        frame_id: Any,
+        connection: FrameConnection,
     ) -> None:
         self._submits += 1
         key = request.content_hash()
@@ -438,7 +321,7 @@ class FleetRouter:
                 continue
             if stream:
                 status, detail = await self._relay_watch(
-                    client, request, timeout_s, frame_id, writer, write_lock
+                    client, request, timeout_s, frame_id, connection
                 )
                 if status == "failover":
                     health.record_failure(detail)
@@ -480,38 +363,31 @@ class FleetRouter:
                 self._relayed_errors += 1
             relayed = dict(response)
             relayed["id"] = frame_id
-            try:
-                await self._send(writer, write_lock, relayed)
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client went away; the shard's solve still counts
+            # A client gone away drops the answer; the shard's solve
+            # still counts.
+            await connection.send(relayed)
             return
         # Whole ring dark (or every reachable shard draining).
         self._unrouted += 1
         detail = "; ".join(attempts) if attempts else "no shards tried"
-        try:
-            await self._send(
-                writer,
-                write_lock,
-                error_frame(
-                    frame_id,
-                    f"no healthy shard for this request "
-                    f"({len(self._health)} in ring): {detail}",
-                    "ServiceConnectionError",
-                    request_hash=key,
-                    retryable=True,
-                ),
+        await connection.send(
+            error_frame(
+                frame_id,
+                f"no healthy shard for this request "
+                f"({len(self._health)} in ring): {detail}",
+                "ServiceConnectionError",
+                request_hash=key,
+                retryable=True,
             )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        )
 
     async def _relay_watch(
         self,
         client: AsyncServiceClient,
         request,
         timeout_s: float | None,
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        frame_id: Any,
+        connection: FrameConnection,
     ) -> tuple[str, str]:
         """Relay one shard watch to the front client, id rewritten.
 
@@ -546,9 +422,7 @@ class FleetRouter:
                     status = "relayed_error"
                 relayed = dict(shard_frame)
                 relayed["id"] = frame_id
-                try:
-                    await self._send(writer, write_lock, relayed)
-                except (ConnectionResetError, BrokenPipeError):
+                if not await connection.send(relayed):
                     # Front client went away; the shard's solve (and
                     # its archive record) still count.
                     return "done", ""
@@ -556,20 +430,15 @@ class FleetRouter:
         except (ServiceConnectionError, OSError) as exc:
             if not relayed_any:
                 return "failover", str(exc)
-            try:
-                await self._send(
-                    writer,
-                    write_lock,
-                    error_frame(
-                        frame_id,
-                        f"shard connection lost mid-watch: {exc}",
-                        "ServiceConnectionError",
-                        request_hash=request.content_hash(),
-                        retryable=True,
-                    ),
+            await connection.send(
+                error_frame(
+                    frame_id,
+                    f"shard connection lost mid-watch: {exc}",
+                    "ServiceConnectionError",
+                    request_hash=request.content_hash(),
+                    retryable=True,
                 )
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            )
             return "lost", str(exc)
         return status, ""
 
@@ -619,34 +488,22 @@ class FleetRouter:
         }
 
     async def _answer_stats(
-        self, frame_id, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+        self, frame_id: Any, connection: FrameConnection
     ) -> None:
         fleet = await self.fleet_stats()
         payload = dict(fleet["aggregate"])
         payload["backend"] = "fleet"
         payload["shard_count"] = fleet["shard_count"]
         payload["healthy_shards"] = fleet["healthy_shards"]
-        try:
-            await self._send(
-                writer,
-                write_lock,
-                {"type": "stats", "id": frame_id, "stats": payload},
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await connection.send({"type": "stats", "id": frame_id, "stats": payload})
 
     async def _answer_fleet_stats(
-        self, frame_id, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+        self, frame_id: Any, connection: FrameConnection
     ) -> None:
         fleet = await self.fleet_stats()
-        try:
-            await self._send(
-                writer,
-                write_lock,
-                {"type": "fleet_stats", "id": frame_id, "fleet": fleet},
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await connection.send(
+            {"type": "fleet_stats", "id": frame_id, "fleet": fleet}
+        )
 
     # -- router telemetry --------------------------------------------------------------
 
@@ -725,11 +582,3 @@ class FleetRouter:
             )
         )
         return render_families(families)
-
-    @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, frame: dict
-    ) -> None:
-        async with write_lock:
-            writer.write(encode_frame(frame))
-            await writer.drain()

@@ -1,7 +1,7 @@
 """JSONL-over-TCP front end of the scheduling service.
 
-:class:`ScheduleServer` binds an asyncio stream server and speaks the
-:mod:`~repro.service.protocol` frame format: clients pipeline any number
+:class:`ScheduleServer` is the :class:`~repro.service.endpoint.FrameEndpoint`
+that answers frames from one local service: clients pipeline any number
 of ``submit`` (plus ``stats``/``ping``) frames over one connection and
 receive one response frame per submission, correlated by id, in
 completion order.
@@ -19,13 +19,14 @@ instead of queueing them.
 from __future__ import annotations
 
 import asyncio
+from typing import Any
 
 from ..errors import ProtocolError, ReproError, ServiceError
+from .endpoint import FrameConnection, FrameEndpoint
+from .execution import SolveOutcome
+from .fleet.health import ShardHealth
 from .fleet.stats import aggregate_fleet_stats
 from .protocol import (
-    MAX_FRAME_BYTES,
-    decode_frame,
-    encode_frame,
     error_frame,
     event_frame,
     parse_submit_frame,
@@ -35,7 +36,40 @@ from .protocol import (
 from .service import ScheduleService, ServiceJob
 
 
-class ScheduleServer:
+def _exception_frame(
+    frame_id: Any, exc: ReproError, request_hash: str
+) -> dict[str, Any]:
+    """The error frame answering a refused or abandoned submit.
+
+    Carries the raising class's ``retryable`` flag and, on busy
+    errors, its ``retry_after_s`` backoff hint.
+    """
+    return error_frame(
+        frame_id,
+        str(exc),
+        type(exc).__name__,
+        request_hash=request_hash,
+        retryable=getattr(exc, "retryable", None),
+        retry_after_s=getattr(exc, "retry_after_s", None),
+    )
+
+
+def _outcome_frame(
+    frame_id: Any, outcome: SolveOutcome, request_hash: str
+) -> dict[str, Any]:
+    """The terminal report or error frame of a resolved solve."""
+    if outcome.ok:
+        assert outcome.report is not None
+        return report_frame(frame_id, outcome.report)
+    return error_frame(
+        frame_id,
+        outcome.error or "unknown error",
+        outcome.error_type or "ServiceError",
+        request_hash=request_hash,
+    )
+
+
+class ScheduleServer(FrameEndpoint):
     """TCP front end over a :class:`~repro.service.service.ScheduleService`.
 
     Parameters
@@ -54,189 +88,60 @@ class ScheduleServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self._service = service
-        self._host = host
-        self._requested_port = port
-        self._server: asyncio.base_events.Server | None = None
-        self._connections = 0
 
     @property
     def service(self) -> ScheduleService:
         """The service answering this server's submits."""
         return self._service
 
-    @property
-    def port(self) -> int:
-        """The actually bound port (meaningful after :meth:`start`)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def host(self) -> str:
-        """The bind host."""
-        return self._host
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        if self._server is not None:
-            raise ProtocolError("server is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._requested_port,
-            limit=MAX_FRAME_BYTES,
-        )
-
-    async def serve_forever(self) -> None:
-        """Block until cancelled (the CLI's main coroutine)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Stop accepting connections (does not stop the service)."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    async def __aenter__(self) -> "ScheduleServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    # -- per-connection handling -------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections += 1
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                # ValueError is how StreamReader surfaces an oversized
-                # line (it converts LimitOverrunError): the frame
-                # boundary is lost, so the connection cannot be
-                # resynchronised — drop it cleanly.
-                except (ConnectionResetError, ValueError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    await self._handle_frame(line, writer, write_lock, pending)
-                except (ConnectionResetError, BrokenPipeError):
-                    # The client went away mid-reply (pong/stats/error
-                    # frames send synchronously); drop the connection
-                    # quietly — submits already admitted keep running.
-                    break
-        finally:
-            # Let in-flight answers finish before closing: a draining
-            # client that half-closed its side still wants its reports.
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     async def _handle_frame(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pending: set[asyncio.Task],
+        self, frame: dict[str, Any], connection: FrameConnection
     ) -> None:
-        try:
-            frame = decode_frame(line)
-        except ProtocolError as exc:
-            await self._send(
-                writer, write_lock, error_frame(None, str(exc), "ProtocolError")
-            )
-            return
         frame_id = frame.get("id")
         frame_type = frame["type"]
         if frame_type == "ping":
-            await self._send(writer, write_lock, {"type": "pong", "id": frame_id})
+            await connection.send({"type": "pong", "id": frame_id})
         elif frame_type == "stats":
-            await self._send(
-                writer,
-                write_lock,
+            await connection.send(
                 {
                     "type": "stats",
                     "id": frame_id,
                     "stats": self._service.metrics().to_dict(),
-                },
+                }
             )
         elif frame_type == "metrics":
-            await self._send(
-                writer,
-                write_lock,
+            await connection.send(
                 {
                     "type": "metrics",
                     "id": frame_id,
                     "text": self._service.metrics_text(),
-                },
+                }
             )
         elif frame_type == "fleet_stats":
             # A plain server answers as a healthy fleet of one, so a
             # client can ask a shard and a router the same question.
-            name = f"{self.host}:{self.port}"
-            shard = {
-                "name": name,
-                "healthy": True,
-                "breaker": "closed",
-                "probes": 0,
-                "probe_failures": 0,
-                "last_error": None,
-                "stats": self._service.metrics().to_dict(),
-            }
-            await self._send(
-                writer,
-                write_lock,
+            shard = ShardHealth(f"{self.host}:{self.port}").to_dict()
+            shard["stats"] = self._service.metrics().to_dict()
+            await connection.send(
                 {
                     "type": "fleet_stats",
                     "id": frame_id,
-                    "fleet": aggregate_fleet_stats({name: shard}),
-                },
+                    "fleet": aggregate_fleet_stats({shard["name"]: shard}),
+                }
             )
         elif frame_type == "submit":
-            await self._handle_submit(frame, frame_id, writer, write_lock, pending)
-        else:
-            # A client sent a server-side frame type (report/error/...).
-            await self._send(
-                writer,
-                write_lock,
-                error_frame(
-                    frame_id,
-                    f"clients may not send {frame_type!r} frames",
-                    "ProtocolError",
-                ),
-            )
+            await self._handle_submit(frame, frame_id, connection)
 
     async def _handle_submit(
-        self,
-        frame: dict,
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pending: set[asyncio.Task],
+        self, frame: dict[str, Any], frame_id: Any, connection: FrameConnection
     ) -> None:
         try:
             request, timeout_s, stream = parse_submit_frame(frame)
         except ProtocolError as exc:
-            await self._send(
-                writer, write_lock, error_frame(frame_id, str(exc), "ProtocolError")
+            await connection.send(
+                error_frame(frame_id, str(exc), "ProtocolError")
             )
             return
         try:
@@ -246,17 +151,8 @@ class ScheduleServer:
                 request, timeout_s=timeout_s, stream=stream
             )
         except ReproError as exc:
-            await self._send(
-                writer,
-                write_lock,
-                error_frame(
-                    frame_id,
-                    str(exc),
-                    type(exc).__name__,
-                    request_hash=request.content_hash(),
-                    retryable=getattr(exc, "retryable", None),
-                    retry_after_s=getattr(exc, "retry_after_s", None),
-                ),
+            await connection.send(
+                _exception_frame(frame_id, exc, request.content_hash())
             )
             return
         if stream:
@@ -264,25 +160,18 @@ class ScheduleServer:
             # broadcasts via loop callbacks, so a queue attached here
             # (synchronously after submit returned) misses no event.
             events = job.subscribe()
-            task = asyncio.create_task(
-                self._stream_when_done(
-                    job, events, frame_id, writer, write_lock
-                )
+            connection.spawn(
+                self._stream_when_done(job, events, frame_id, connection)
             )
         else:
-            task = asyncio.create_task(
-                self._answer_when_done(job, frame_id, writer, write_lock)
-            )
-        pending.add(task)
-        task.add_done_callback(pending.discard)
+            connection.spawn(self._answer_when_done(job, frame_id, connection))
 
     async def _stream_when_done(
         self,
         job: ServiceJob,
-        events: "asyncio.Queue[dict | None]",
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        events: "asyncio.Queue[dict[str, Any] | None]",
+        frame_id: Any,
+        connection: FrameConnection,
     ) -> None:
         """Answer a streaming submit: push frames, then the terminal one.
 
@@ -290,73 +179,41 @@ class ScheduleServer:
         solve resolves ok — ``progress(running)`` and one ``event``
         frame per reactive-timeline event, and finally the ordinary
         report/error frame.  ``seq`` increases by one per push frame,
-        so a client can assert it missed nothing.
+        so a client can assert it missed nothing.  A client that goes
+        away ends the stream; the solve (and archive) still count.
         """
         seq = 0
+        if not await connection.send(
+            progress_frame(frame_id, "queued", seq=seq, request_hash=job.key)
+        ):
+            return
+        seq += 1
         try:
-            await self._send(
-                writer,
-                write_lock,
+            outcome = await job.outcome()
+        except ServiceError as exc:
+            await connection.send(_exception_frame(frame_id, exc, job.key))
+            return
+        if outcome.ok:
+            if not await connection.send(
                 progress_frame(
-                    frame_id, "queued", seq=seq, request_hash=job.key
-                ),
-            )
-            seq += 1
-            try:
-                outcome = await job.outcome()
-            except ServiceError as exc:
-                await self._send(
-                    writer,
-                    write_lock,
-                    error_frame(
-                        frame_id,
-                        str(exc),
-                        type(exc).__name__,
-                        request_hash=job.key,
-                        retryable=getattr(exc, "retryable", None),
-                        retry_after_s=getattr(exc, "retry_after_s", None),
-                    ),
+                    frame_id, "running", seq=seq, request_hash=job.key
                 )
+            ):
                 return
-            if outcome.ok:
-                await self._send(
-                    writer,
-                    write_lock,
-                    progress_frame(
-                        frame_id, "running", seq=seq, request_hash=job.key
-                    ),
-                )
-                seq += 1
-            # Drain the reactive timeline to its sentinel even on an
-            # error outcome — the pump always terminates the queue.
-            while True:
-                event = await events.get()
-                if event is None:
-                    break
-                await self._send(
-                    writer, write_lock, event_frame(frame_id, event, seq=seq)
-                )
-                seq += 1
-            if outcome.ok:
-                assert outcome.report is not None
-                frame = report_frame(frame_id, outcome.report)
-            else:
-                frame = error_frame(
-                    frame_id,
-                    outcome.error or "unknown error",
-                    outcome.error_type or "ServiceError",
-                    request_hash=job.key,
-                )
-            await self._send(writer, write_lock, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; the solve (and archive) still count
+            seq += 1
+        # Drain the reactive timeline to its sentinel even on an
+        # error outcome — the pump always terminates the queue.
+        while True:
+            event = await events.get()
+            if event is None:
+                break
+            if not await connection.send(event_frame(frame_id, event, seq=seq)):
+                return
+            seq += 1
+        await connection.send(_outcome_frame(frame_id, outcome, job.key))
 
     async def _answer_when_done(
-        self,
-        job: ServiceJob,
-        frame_id,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        self, job: ServiceJob, frame_id: Any, connection: FrameConnection
     ) -> None:
         try:
             outcome = await job.outcome()
@@ -365,34 +222,7 @@ class ScheduleServer:
         # with ServiceBusyError — the client must get an error frame
         # either way, or its submit would wait forever.
         except ServiceError as exc:
-            frame = error_frame(
-                frame_id,
-                str(exc),
-                type(exc).__name__,
-                request_hash=job.key,
-                retryable=getattr(exc, "retryable", None),
-                retry_after_s=getattr(exc, "retry_after_s", None),
-            )
+            frame = _exception_frame(frame_id, exc, job.key)
         else:
-            if outcome.ok:
-                assert outcome.report is not None
-                frame = report_frame(frame_id, outcome.report)
-            else:
-                frame = error_frame(
-                    frame_id,
-                    outcome.error or "unknown error",
-                    outcome.error_type or "ServiceError",
-                    request_hash=job.key,
-                )
-        try:
-            await self._send(writer, write_lock, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; the solve (and archive) still count
-
-    @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, frame: dict
-    ) -> None:
-        async with write_lock:
-            writer.write(encode_frame(frame))
-            await writer.drain()
+            frame = _outcome_frame(frame_id, outcome, job.key)
+        await connection.send(frame)

@@ -348,8 +348,7 @@ class ServiceMetrics:
     latency:
         Per-family latency histogram snapshots (count/sum/min/max/mean
         plus p50/p95/p99; see :data:`LATENCY_FAMILIES`), keyed under
-        ``"latency"`` in the stats frame.  ``None`` when the service
-        runs with ``observability=False``.
+        ``"latency"`` in the stats frame.
     """
 
     backend: str
@@ -376,7 +375,9 @@ class ServiceMetrics:
     shed: int = 0
     answer_hits: int = 0
     answer_cache: AnswerCacheStats | None = None
-    latency: Mapping[str, Mapping[str, Any]] | None = None
+    latency: Mapping[str, Mapping[str, Any]] = dataclasses.field(
+        default_factory=dict
+    )
     reactive_runs: int = 0
     guard_transitions: int = 0
     reactive_throttles: int = 0
@@ -403,11 +404,9 @@ class ServiceMetrics:
             }
         if self.answer_cache is not None:
             data["answer_cache"] = self.answer_cache.to_dict()
-        if self.latency is not None:
-            data["latency"] = {
-                name: dict(snapshot)
-                for name, snapshot in self.latency.items()
-            }
+        data["latency"] = {
+            name: dict(snapshot) for name, snapshot in self.latency.items()
+        }
         return data
 
     @property
@@ -532,36 +531,35 @@ def render_metrics_text(metrics: ServiceMetrics) -> str:
                 families.append(gauge_family(name, help_text, value))
             else:
                 families.append(counter_family(name, help_text, value))
-    if metrics.latency is not None:
-        for family_name, snapshot in metrics.latency.items():
-            if family_name in BATCH_FAMILIES:
-                # Dimensionless: jobs per dispatch, so no ``_seconds``
-                # suffix — a scraper must not average it into latency.
-                families.append(
-                    summary_family(
-                        f"repro_{family_name}",
-                        "Jobs per worker-pool dispatch while request "
-                        "coalescing is enabled.",
-                        snapshot,
-                    )
-                )
-                continue
-            if family_name.startswith("dwell_"):
-                state = family_name[len("dwell_"):]
-                help_text = (
-                    f"Thermal-guard {state}-state dwell time per "
-                    f"reactive run, in seconds."
-                )
-            else:
-                help_text = (
-                    f"Request {family_name.replace('_', ' ')} latency "
-                    f"in seconds."
-                )
+    for family_name, snapshot in metrics.latency.items():
+        if family_name in BATCH_FAMILIES:
+            # Dimensionless: jobs per dispatch, so no ``_seconds``
+            # suffix — a scraper must not average it into latency.
             families.append(
                 summary_family(
-                    f"repro_{family_name}_seconds", help_text, snapshot
+                    f"repro_{family_name}",
+                    "Jobs per worker-pool dispatch while request "
+                    "coalescing is enabled.",
+                    snapshot,
                 )
             )
+            continue
+        if family_name.startswith("dwell_"):
+            state = family_name[len("dwell_"):]
+            help_text = (
+                f"Thermal-guard {state}-state dwell time per "
+                f"reactive run, in seconds."
+            )
+        else:
+            help_text = (
+                f"Request {family_name.replace('_', ' ')} latency "
+                f"in seconds."
+            )
+        families.append(
+            summary_family(
+                f"repro_{family_name}_seconds", help_text, snapshot
+            )
+        )
     return render_families(families)
 
 
@@ -630,10 +628,6 @@ class ScheduleService:
         Explicit :class:`~repro.obs.histogram.HistogramRegistry` (to
         share one registry across services, or for tests with custom
         bounds).
-    observability:
-        ``False`` turns off latency recording, report timing stamps
-        and event logging entirely — the pre-tracing hot path, kept as
-        the overhead baseline the benchmarks compare against.
     reactive_guard:
         Thermal-guard thresholds for streaming submissions (``None``
         derives them per request from its temperature limit via
@@ -680,7 +674,6 @@ class ScheduleService:
         logger: JsonLogger | None = None,
         slow_request_ms: float | None = None,
         histograms: HistogramRegistry | None = None,
-        observability: bool = True,
         reactive_guard: GuardConfig | None = None,
         reactive_config: ReactiveConfig | None = None,
         reactive_dt: float = 5e-3,
@@ -761,15 +754,13 @@ class ScheduleService:
             raise ServiceError(
                 f"slow_request_ms must be positive, got {slow_request_ms!r}"
             )
-        self._observability = observability
         self._latency = (
             histograms if histograms is not None else HistogramRegistry()
         )
-        if observability:
-            # Pre-create the families so an idle service's metrics
-            # exposition already lists every histogram at zero.
-            for family in LATENCY_FAMILIES + DWELL_FAMILIES + BATCH_FAMILIES:
-                self._latency.histogram(family)
+        # Pre-create the families so an idle service's metrics
+        # exposition already lists every histogram at zero.
+        for family in LATENCY_FAMILIES + DWELL_FAMILIES + BATCH_FAMILIES:
+            self._latency.histogram(family)
         if reactive_dt <= 0.0:
             raise ServiceError(
                 f"reactive_dt must be positive, got {reactive_dt!r}"
@@ -865,8 +856,7 @@ class ScheduleService:
 
     @property
     def latency_histograms(self) -> HistogramRegistry:
-        """The latency histogram registry (always present; recording
-        only happens with ``observability=True``)."""
+        """The latency histogram registry."""
         return self._latency
 
     def describe_config(self) -> str:
@@ -1052,30 +1042,28 @@ class ScheduleService:
             stored = self._answer_cache.get(key)
             if stored is not None:
                 job = self._cached_job(request, key, stored)
-                if self._observability:
-                    hit_s = time.perf_counter() - lookup_start
-                    self._latency.observe("answer_hit", hit_s)
-                    # e2e covers *every* answered submission; hits are
-                    # what makes its distribution bimodal.
-                    self._latency.observe("e2e", hit_s)
-                    self._log_event(
-                        "request_cache_hit",
-                        request_hash=key,
-                        solver=request.solver,
-                    )
+                hit_s = time.perf_counter() - lookup_start
+                self._latency.observe("answer_hit", hit_s)
+                # e2e covers *every* answered submission; hits are
+                # what makes its distribution bimodal.
+                self._latency.observe("e2e", hit_s)
+                self._log_event(
+                    "request_cache_hit",
+                    request_hash=key,
+                    solver=request.solver,
+                )
                 return job, False
         existing = self._inflight.get(key)
         if existing is not None:
             self._submitted += 1
             self._deduped += 1
             existing.waiters += 1
-            if self._observability:
-                self._log_event(
-                    "request_deduped",
-                    request_hash=key,
-                    solver=request.solver,
-                    waiters=existing.waiters,
-                )
+            self._log_event(
+                "request_deduped",
+                request_hash=key,
+                solver=request.solver,
+                waiters=existing.waiters,
+            )
             return existing, False
         if (
             self._shed_watermark is not None
@@ -1084,13 +1072,12 @@ class ScheduleService:
         ):
             self._rejected += 1
             self._shed += 1
-            if self._observability:
-                self._log_event(
-                    "request_shed",
-                    request_hash=key,
-                    solver=request.solver,
-                    queue_depth=self._queue.qsize(),
-                )
+            self._log_event(
+                "request_shed",
+                request_hash=key,
+                solver=request.solver,
+                queue_depth=self._queue.qsize(),
+            )
             raise ServiceBusyError(
                 f"job queue depth reached the shed watermark "
                 f"({self._shed_watermark}); retry later",
@@ -1105,16 +1092,13 @@ class ScheduleService:
         )
         self._inflight[key] = job
         self._submitted += 1
-        if self._observability:
-            self._log_event(
-                "request_admitted",
-                request_hash=key,
-                solver=request.solver,
-                timeout_s=job.timeout_s,
-                queue_depth=(
-                    self._queue.qsize() if self._queue is not None else 0
-                ),
-            )
+        self._log_event(
+            "request_admitted",
+            request_hash=key,
+            solver=request.solver,
+            timeout_s=job.timeout_s,
+            queue_depth=self._queue.qsize() if self._queue is not None else 0,
+        )
         return job, True
 
     def _busy_retry_after_s(self) -> float:
@@ -1364,7 +1348,7 @@ class ScheduleService:
                 slot_held = False
                 for job in jobs:
                     pending.remove(job)
-                if self._observability and self._max_batch > 1:
+                if self._max_batch > 1:
                     self._latency.observe("batch_size", float(len(jobs)))
                 if len(jobs) > 1:
                     self._coalesced_batches += 1
@@ -1424,8 +1408,7 @@ class ScheduleService:
         now = time.perf_counter()
         for job in jobs:
             job.queue_wait_s = now - job.submitted_at
-            if self._observability:
-                self._latency.observe("queue_wait", job.queue_wait_s)
+            self._latency.observe("queue_wait", job.queue_wait_s)
         requests = [job.request for job in jobs]
         try:
             worker_future = self._loop.run_in_executor(
@@ -1490,12 +1473,10 @@ class ScheduleService:
     def _finish(self, job: ServiceJob, outcome: SolveOutcome) -> None:
         self._inflight.pop(job.key, None)
         e2e_s = time.perf_counter() - job.submitted_at
-        if self._observability:
-            outcome = self._stamp_timings(job, outcome, e2e_s)
-            self._latency.observe("e2e", e2e_s)
-            if outcome.ok:
-                self._latency.observe("solve", outcome.elapsed_s)
+        outcome = self._stamp_timings(job, outcome, e2e_s)
+        self._latency.observe("e2e", e2e_s)
         if outcome.ok:
+            self._latency.observe("solve", outcome.elapsed_s)
             self._completed += 1
             if outcome.cache_hit:
                 self._cache_hits += 1
@@ -1503,8 +1484,7 @@ class ScheduleService:
                 self._answer_cache.put(job.key, outcome)
         else:
             self._errors += 1
-        if self._observability:
-            self._log_finished(job, outcome, e2e_s)
+        self._log_finished(job, outcome, e2e_s)
         if self._archive is not None:
             self._schedule_archive_append(job, outcome)
         if not job.future.done():
@@ -1600,10 +1580,9 @@ class ScheduleService:
             except Exception:
                 self._archive_errors += 1
             else:
-                if self._observability:
-                    self._latency.observe(
-                        "archive_append", time.perf_counter() - append_start
-                    )
+                self._latency.observe(
+                    "archive_append", time.perf_counter() - append_start
+                )
 
         task = asyncio.create_task(_append())
         self._tasks.add(task)
@@ -1699,9 +1678,8 @@ class ScheduleService:
         self._guard_transitions += sum(report.guard_transitions.values())
         self._reactive_throttles += report.throttles
         self._reactive_pauses += report.pauses
-        if self._observability:
-            for state, seconds in report.dwell_s.items():
-                self._latency.observe(f"dwell_{state}", seconds)
+        for state, seconds in report.dwell_s.items():
+            self._latency.observe(f"dwell_{state}", seconds)
 
     # -- metrics -----------------------------------------------------------------------
 
@@ -1761,9 +1739,7 @@ class ScheduleService:
                 if self._answer_cache is not None
                 else None
             ),
-            latency=(
-                self._latency.snapshot() if self._observability else None
-            ),
+            latency=self._latency.snapshot(),
         )
 
     def metrics_text(self) -> str:

@@ -86,21 +86,6 @@ class TestRequestTimings:
 
         asyncio.run(main())
 
-    def test_observability_off_skips_lifecycle_stamping(self):
-        async def main():
-            async with ScheduleService(
-                backend="thread", max_workers=2, observability=False
-            ) as svc:
-                report = await svc.solve(REQUEST)
-                # Engine-side phases still ride along (they are part of
-                # the report itself), but no service lifecycle phases
-                # and no histograms.
-                assert "queue_wait" not in (report.timings or {})
-                assert "service_total" not in (report.timings or {})
-                assert svc.metrics().latency is None
-
-        asyncio.run(main())
-
 
 class TestLatencyHistograms:
     def test_families_populated_after_a_solve_and_a_hit(self):

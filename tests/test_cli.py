@@ -431,6 +431,36 @@ class TestSubmitCommand:
         assert exit_code == 1
         assert "--requests replaces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_line, error_type",
+        [
+            ("[1, 2]", "AttributeError"),
+            (
+                '{"schema_version": 2, "soc": "alpha15", "tl_c": 165.0, '
+                '"stcl": 60.0, "bogus": 1}',
+                "TypeError",
+            ),
+        ],
+        ids=["not-an-object", "unknown-key"],
+    )
+    def test_malformed_request_record_names_its_line(
+        self, bad_line, error_type, tmp_path, capsys
+    ):
+        from repro.api import ScheduleRequest, request_to_dict
+
+        good = request_to_dict(
+            ScheduleRequest(soc="worked_example6", tl_c=80.0, stcl=60.0)
+        )
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+        # Parsing precedes the connection: nothing listens on port 1.
+        exit_code = submit_main(["--port", "1", "--requests", str(path)])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: malformed request record")
+        assert error_type in err
+        assert "Traceback" not in err
+
     def test_unreachable_service_is_a_clean_error(self, capsys):
         exit_code = submit_main(
             ["--port", "1", "--soc", "worked-example6",
