@@ -20,6 +20,7 @@ Run with the rest of the opt-in suite::
 from __future__ import annotations
 
 import asyncio
+import statistics
 import threading
 import time
 from contextlib import AsyncExitStack, contextmanager
@@ -447,20 +448,18 @@ def test_bench_fleet_failover_recovery(benchmark):
     assert median < 30.0, f"failover took {median:.1f} s"
 
 
-def _median_hit_latency(port: int, request: ScheduleRequest, rounds: int) -> float:
-    """Median TCP round-trip of an answer-cache hit, over one connection."""
-    import statistics
+#: Hit samples in one block of the tracing-overhead comparison; blocks
+#: alternate between the two services.
+OVERHEAD_BLOCK = 20
 
-    with ServiceClient(port=port) as client:
-        miss = client.submit(request, decode=False)  # populate the cache
-        assert not miss["report"]["cached"]
-        samples = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            frame = client.submit(request, decode=False)
-            samples.append(time.perf_counter() - start)
-            assert frame["report"]["cached"]
-    return statistics.median(samples)
+
+def _hit_round_trip(client: ServiceClient, request: ScheduleRequest) -> float:
+    """One TCP round trip of an answer-cache hit."""
+    start = time.perf_counter()
+    frame = client.submit(request, decode=False)
+    elapsed = time.perf_counter() - start
+    assert frame["report"]["cached"]
+    return elapsed
 
 
 class _NullHistograms(HistogramRegistry):
@@ -484,12 +483,27 @@ def test_bench_service_tracing_overhead():
     request = ScheduleRequest(soc="alpha15", tl_c=165.0, stcl=60.0)
     rounds = 300
 
-    with _live_server(
-        backend="thread", max_workers=2, histograms=_NullHistograms()
-    ) as port:
-        untraced_s = _median_hit_latency(port, request, rounds)
-    with _live_server(backend="thread", max_workers=2) as port:
-        traced_s = _median_hit_latency(port, request, rounds)
+    # Both services run at once and take alternating blocks of samples
+    # (ABBA order), so drift of the host lands on both sides alike.
+    with (
+        _live_server(
+            backend="thread", max_workers=2, histograms=_NullHistograms()
+        ) as untraced_port,
+        _live_server(backend="thread", max_workers=2) as traced_port,
+        ServiceClient(port=untraced_port) as untraced,
+        ServiceClient(port=traced_port) as traced,
+    ):
+        clients = (untraced, traced)
+        for client in clients:  # populate each answer cache
+            assert not client.submit(request, decode=False)["report"]["cached"]
+        samples: tuple[list[float], list[float]] = ([], [])
+        for block in range(rounds // OVERHEAD_BLOCK):
+            for side in (0, 1) if block % 2 == 0 else (1, 0):
+                samples[side].extend(
+                    _hit_round_trip(clients[side], request)
+                    for _ in range(OVERHEAD_BLOCK)
+                )
+    untraced_s, traced_s = (statistics.median(side) for side in samples)
 
     overhead = traced_s / untraced_s - 1.0
     print(

@@ -8,6 +8,9 @@ commands::
 
     repro           # umbrella command: `repro schedule`, `repro batch`
     repro-schedule  # alias for `repro schedule`
+
+Both start in ``repro.__main__``, as ``python -m repro`` does, so all
+three run their BLAS on one thread.
 """
 
 from setuptools import find_packages, setup
@@ -26,8 +29,8 @@ setup(
     install_requires=["numpy", "scipy"],
     entry_points={
         "console_scripts": [
-            "repro=repro.cli:repro_main",
-            "repro-schedule=repro.cli:schedule_entry",
+            "repro=repro.__main__:main",
+            "repro-schedule=repro.__main__:schedule_main",
         ]
     },
 )

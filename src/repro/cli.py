@@ -503,6 +503,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     import asyncio
     import signal
 
+    from .engine.blas import blas_threads
     from .obs import open_json_log
     from .service import DEFAULT_PORT, ScheduleServer, ScheduleService
 
@@ -715,6 +716,12 @@ def serve_main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
+    # The banner names the thread count of every mapped OpenBLAS ("1"
+    # once repro.__main__ capped it).  Read here, not in _serve: reading
+    # /proc/self/maps is a blocking file read.
+    threads = sorted(set(blas_threads().values()))
+    blas = "/".join(map(str, threads)) if threads else "unknown"
+
     async def _serve() -> None:
         service = ScheduleService(
             backend=args.backend,
@@ -748,7 +755,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         await server.start()
         print(
             f"repro service listening on {args.host}:{server.port} "
-            f"({service.describe_config()})",
+            f"({service.describe_config()}, BLAS threads {blas})",
             flush=True,
         )
         stop_event = asyncio.Event()
@@ -1569,4 +1576,6 @@ def schedule_entry(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(repro_main())
+    from .__main__ import main as _main  # the capped start-up
+
+    sys.exit(_main())

@@ -7,10 +7,14 @@ over workers?*  Three are registered out of the box:
   benchmark compares against.
 * ``"thread"`` — a thread pool.  The linear-algebra kernels release the
   GIL, so threads overlap the solver-bound portion of jobs while
-  sharing one in-process thermal-model cache.
+  sharing one in-process thermal-model cache.  A ``repro`` command
+  runs each OpenBLAS on one thread (:mod:`repro.engine.blas`), so the
+  pool's workers are its only parallelism and no idle BLAS threads
+  spin on their CPUs; a library caller keeps its own BLAS setting.
 * ``"process"`` — a process pool for true CPU parallelism.  Requests
   and outcomes are plain picklable dataclasses, so they cross the
   boundary unchanged; each worker process keeps its own model cache.
+  Fork-started workers inherit the parent's BLAS thread count.
 
 Additional backends (a cluster dispatcher, an async queue) register via
 :func:`register_backend` and become selectable by name everywhere a

@@ -19,6 +19,7 @@ MYPY_INI = REPO_ROOT / "mypy.ini"
 PROMOTED = [
     "mypy-repro.errors",
     "mypy-repro.units",
+    "mypy-repro.engine.blas",
     "mypy-repro.api",
     "mypy-repro.api.request",
     "mypy-repro.api.solvers",
@@ -84,6 +85,8 @@ class TestMypyRun:
                 "repro.obs",
                 "-p",
                 "repro.reactive",
+                "-m",
+                "repro.engine.blas",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"
