@@ -51,21 +51,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 from ..errors import FloorplanError, SchedulingError
-from ..floorplan.floorplan import Floorplan
 from ..soc.system import SocUnderTest
 from ..spec_utils import is_positive_number
-from ..thermal.package import PackageConfig
-from ..thermal.resistances import (
-    boundary_edge_resistance,
-    lateral_interface_resistance,
-    shared_path_resistance,
-    vertical_stack_resistance,
-)
-from ..units import parallel
+from ..thermal.resistances import resistance_table
 
 
 @dataclass(frozen=True)
@@ -109,99 +102,6 @@ class SessionModelConfig:
 PAPER_SESSION_MODEL = SessionModelConfig()
 
 
-#: (floorplan, package, vertical path) combinations whose escape paths
-#: each process keeps; an entry is a few floats per block and interface.
-CONDUCTANCE_MEMO_SIZE = 64
-
-
-@dataclass(frozen=True)
-class _NetworkPaths:
-    """Every power-independent input of the session model for one network.
-
-    Shared read-only by all models built on the same floorplan and
-    package with the same vertical-path switch.  ``neighbours[i]`` pairs
-    each lateral neighbour of block *i* (by floorplan index) with the
-    conductance of the path to it, and ``fixed[i]`` holds the paths no
-    session rewires (die edge, then vertical when the model includes
-    it), both in the order :func:`~repro.units.parallel` would sum them;
-    infinite resistances are left out, as ``parallel`` skips them.
-    """
-
-    neighbour_r: dict[str, dict[str, float]]
-    edge_r: dict[str, float]
-    vertical_r: dict[str, float]
-    neighbours: tuple[tuple[tuple[int, float], ...], ...]
-    fixed: tuple[tuple[float, ...], ...]
-
-
-@lru_cache(maxsize=CONDUCTANCE_MEMO_SIZE)
-def _network_paths(
-    floorplan: Floorplan, package: PackageConfig, include_vertical: bool
-) -> _NetworkPaths:
-    """Resistances and kernel conductances of one network, computed once.
-
-    Keyed by the floorplan object (whose shared adjacency map it reads),
-    the package's value and whether the vertical path is included.
-    """
-    adjacency = floorplan.adjacency
-
-    # Lateral resistance to each neighbour, per core.
-    neighbour_r: dict[str, dict[str, float]] = {
-        name: {} for name in floorplan.block_names
-    }
-    for interface in adjacency.interfaces:
-        block_a = floorplan[interface.block_a]
-        block_b = floorplan[interface.block_b]
-        resistance = lateral_interface_resistance(
-            block_a, block_b, interface, package
-        )
-        neighbour_r[block_a.name][block_b.name] = resistance
-        neighbour_r[block_b.name][block_a.name] = resistance
-
-    # Die-edge escape paths, combined in parallel per core (they all
-    # terminate at the package periphery, i.e. thermal ground in this
-    # model).
-    edge_r: dict[str, float] = {}
-    for block in floorplan:
-        segments = adjacency.boundary_segments(block.name)
-        if segments:
-            edge_r[block.name] = parallel(
-                *(
-                    boundary_edge_resistance(block, segment, package)
-                    for segment in segments
-                )
-            )
-        else:
-            edge_r[block.name] = math.inf
-
-    # Optional vertical path: per-core stack plus the shared
-    # spreader/sink/convection tail.
-    shared_tail = shared_path_resistance(package)
-    vertical_r = {
-        block.name: vertical_stack_resistance(block, package) + shared_tail
-        for block in floorplan
-    }
-
-    # What the pricing kernel reads per core, by floorplan index.
-    neighbours = []
-    fixed = []
-    for name in floorplan.block_names:
-        neighbours.append(
-            tuple(
-                (floorplan.index_of(neighbour), 1.0 / resistance)
-                for neighbour, resistance in neighbour_r[name].items()
-                if not math.isinf(resistance)
-            )
-        )
-        fixed_r = [edge_r[name]]
-        if include_vertical:
-            fixed_r.append(vertical_r[name])
-        fixed.append(tuple(1.0 / r for r in fixed_r if not math.isinf(r)))
-    return _NetworkPaths(
-        neighbour_r, edge_r, vertical_r, tuple(neighbours), tuple(fixed)
-    )
-
-
 #: What the pricing kernel reads a power or weight from: a sequence by
 #: core index, or a mapping holding at least the cores it prices.
 _ByIndex = Union[Sequence[float], Mapping[int, float]]
@@ -210,10 +110,13 @@ _ByIndex = Union[Sequence[float], Mapping[int, float]]
 class SessionThermalModel:
     """Evaluates Rth / TC / STC for candidate test sessions of one SoC.
 
-    All lateral and vertical resistances are computed once per
-    (floorplan, package) pair and shared through a bounded per-process
-    memo; a model pairs them with its SoC's test powers, and evaluating
-    a session is then pure parallel-resistance arithmetic.
+    All lateral and vertical resistances, and the conductances the
+    pricing kernel reads, come from the floorplan's
+    :func:`~repro.thermal.resistances.resistance_table`, computed once
+    per (floorplan, package) pair and shared through a bounded
+    per-process memo with the full network builder; a model pairs them
+    with its SoC's test powers, and evaluating a session is then pure
+    parallel-resistance arithmetic.
 
     Cores are priced by their floorplan index against a ``bytearray``
     mask of the active cores.  :meth:`grow_session` and
@@ -235,14 +138,12 @@ class SessionThermalModel:
     ) -> None:
         self._soc = soc
         self._config = config
-        network = _network_paths(
-            soc.floorplan, soc.package, config.include_vertical
-        )
-        self._neighbour_r = network.neighbour_r
-        self._edge_r = network.edge_r
-        self._vertical_r = network.vertical_r
-        self._neighbours = network.neighbours
-        self._fixed = network.fixed
+        self._table = resistance_table(soc.adjacency, soc.package)
+        # Per core index: (neighbour index, conductance) pairs, and the
+        # conductances no session rewires (die edge, then vertical when
+        # included), in the order parallel() would sum them.
+        self._neighbours = self._table.neighbour_conductances
+        self._fixed = self._table.escape_conductances(config.include_vertical)
         #: Test power per core, by floorplan index.
         self._power = [core.test_power_w for core in soc]
         # Whether a neighbour's path survives, indexed by "is it active":
@@ -263,24 +164,23 @@ class SessionThermalModel:
 
     def neighbour_resistances(self, core: str) -> Mapping[str, float]:
         """Lateral resistance to each neighbour of *core* (K/W)."""
-        try:
-            return dict(self._neighbour_r[core])
-        except KeyError:
-            raise SchedulingError(f"unknown core {core!r}") from None
+        (i,) = self._indices([core])
+        pairs = self._table.adjacency.interface_blocks
+        names = self._soc.core_names
+        return {
+            names[int(pairs[t].sum()) - i]: float(self._table.lateral[t])
+            for t in np.flatnonzero((pairs == i).any(axis=1))
+        }
 
     def edge_resistance(self, core: str) -> float:
         """Combined die-edge escape resistance of *core* (K/W; inf if landlocked)."""
-        try:
-            return self._edge_r[core]
-        except KeyError:
-            raise SchedulingError(f"unknown core {core!r}") from None
+        (i,) = self._indices([core])
+        return float(self._table.edge[i])
 
     def vertical_resistance(self, core: str) -> float:
         """Vertical stack resistance of *core* incl. the shared tail (K/W)."""
-        try:
-            return self._vertical_r[core]
-        except KeyError:
-            raise SchedulingError(f"unknown core {core!r}") from None
+        (i,) = self._indices([core])
+        return float(self._table.vertical[i] + self._table.shared_tail)
 
     # -- the kernel -------------------------------------------------------------------
 

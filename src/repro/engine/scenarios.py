@@ -60,6 +60,12 @@ BUILTIN_KINDS = ("alpha15", "hypothetical7", "worked_example6")
 #: most requests name.  A package entry is a few hundred bytes.
 SCENARIO_MEMO_SIZE = 64
 
+#: Most blocks a generated scenario may have.  The thermal model is
+#: dense: a network of n blocks holds (n+7)^2 conductances plus their
+#: factor and influence matrix, about 25 MB at this limit, which is 4x
+#: the largest grid (16x16) the ledger's workloads and examples use.
+MAX_SCENARIO_BLOCKS = 1024
+
 
 @lru_cache(maxsize=SCENARIO_MEMO_SIZE, typed=True)
 def _package(convection_resistance: float, ambient_c: float) -> PackageConfig:
@@ -142,6 +148,14 @@ class ScenarioSpec:
                 raise SchedulingError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
+        blocks = {"grid": self.rows * self.cols, "slicing": self.n_blocks}.get(
+            self.kind
+        )
+        if blocks is not None and blocks > MAX_SCENARIO_BLOCKS:
+            raise SchedulingError(
+                f"a {self.kind} scenario of {blocks} blocks exceeds the limit of "
+                f"{MAX_SCENARIO_BLOCKS} blocks (the thermal model is dense)"
+            )
         for name in ("floorplan_seed", "power_seed"):
             value = getattr(self, name)
             if not (is_integer(value) and value >= 0):

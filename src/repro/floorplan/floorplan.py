@@ -25,8 +25,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+import numpy as np
+
 from ..errors import FloorplanError, GeometryError
-from .geometry import GEOM_TOL, Rect, bounding_box, total_area
+from .geometry import (
+    GEOM_TOL,
+    Rect,
+    bounding_box,
+    meeting_pairs,
+    overlapping,
+    total_area,
+)
 
 if TYPE_CHECKING:
     from .adjacency import AdjacencyMap
@@ -110,6 +119,8 @@ class Floorplan:
 
         rects = [b.rect for b in self._blocks]
         self._outline = outline if outline is not None else bounding_box(rects)
+        self._rect_array = np.array([(r.x, r.y, r.width, r.height) for r in rects])
+        self._rect_array.flags.writeable = False
 
         for block in self._blocks:
             if not self._outline.contains_rect(block.rect):
@@ -132,19 +143,23 @@ class Floorplan:
     def _check_no_overlap(self) -> None:
         """Reject interior overlaps between any pair of blocks.
 
-        O(n^2) over block pairs: about 30k pair tests for a 16x16 grid.
-        The scenario layer shares one floorplan per shape
-        (:meth:`repro.engine.ScenarioSpec.build_soc`), so the scan runs
-        once per shape and process, not once per request.
+        A sort-and-sweep (:func:`~repro.floorplan.geometry.meeting_pairs`)
+        proposes the pairs whose rectangles meet, in O(n log n + k) time
+        and O(n + k) memory, and :meth:`Rect.overlaps
+        <repro.floorplan.geometry.Rect.overlaps>`'s test runs on those
+        alone (:func:`~repro.floorplan.geometry.overlapping`).  The error
+        names the first overlapping pair in block order.
         """
-        for i, a in enumerate(self._blocks):
-            for b in self._blocks[i + 1 :]:
-                if a.rect.overlaps(b.rect):
-                    overlap = a.rect.overlap_area(b.rect)
-                    raise FloorplanError(
-                        f"blocks {a.name!r} and {b.name!r} overlap "
-                        f"(intersection area {overlap:.3e} m^2)"
-                    )
+        i, j = meeting_pairs(self._rect_array)
+        overlaps = overlapping(self._rect_array, i, j)
+        if overlaps.any():
+            first = int(np.argmax(overlaps))
+            a, b = self._blocks[i[first]], self._blocks[j[first]]
+            overlap = a.rect.overlap_area(b.rect)
+            raise FloorplanError(
+                f"blocks {a.name!r} and {b.name!r} overlap "
+                f"(intersection area {overlap:.3e} m^2)"
+            )
 
     # -- identity & iteration --------------------------------------------------
 
@@ -162,6 +177,15 @@ class Floorplan:
     def blocks(self) -> tuple[Block, ...]:
         """All blocks in canonical order."""
         return self._blocks
+
+    @property
+    def rect_array(self) -> np.ndarray:
+        """Read-only ``(n, 4)`` array of each block's x, y, width and height.
+
+        Rows follow canonical block order; the adjacency sweep and the
+        resistance table compute on it instead of the block objects.
+        """
+        return self._rect_array
 
     @property
     def block_names(self) -> tuple[str, ...]:

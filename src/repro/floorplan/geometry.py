@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..errors import GeometryError
 
 #: Geometric tolerance in metres.  Two coordinates closer than this are
@@ -256,6 +258,65 @@ def boundary_exposure(block: Rect, outline: Rect, tol: float = GEOM_TOL) -> dict
     if abs(block.x - outline.x) <= tol:
         exposure[Side.WEST] = block.height
     return exposure
+
+
+def meeting_pairs(
+    rects: np.ndarray, slack: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rectangles whose closed boxes meet, by sort-and-sweep.
+
+    *rects* is an ``(n, 4)`` array of ``x, y, width, height`` rows (see
+    :attr:`Floorplan.rect_array <repro.floorplan.floorplan.Floorplan.rect_array>`);
+    each box is widened by *slack* on every side first.  Sorted by
+    their lower edge along one axis, the boxes a box can meet along that
+    axis form one run after it: those starting no later than it ends.
+    The sweep takes the axis whose runs are shorter in total and keeps
+    the pairs that meet along the other axis too.  O(n log n + k) time
+    and O(n + k) memory, *k* the pairs whose extents meet along the
+    swept axis (a block and its column-mates in a grid).
+
+    Returns index arrays ``(i, j)`` with ``i < j``, in lexicographic
+    order: the order of a double loop over the boxes.
+    """
+    low = rects[:, :2] - slack
+    high = rects[:, :2] + rects[:, 2:] + slack
+    n = len(low)
+    following = np.arange(1, n + 1)
+    runs = []
+    for axis in (0, 1):
+        order = np.argsort(low[:, axis], kind="stable")
+        stop = np.searchsorted(low[order, axis], high[order, axis], side="right")
+        runs.append((order, stop - following))
+    order, counts = min(runs, key=lambda run: int(run[1].sum()))
+    # The p-th box in sorted order pairs with sorted positions p+1 .. stop-1.
+    first = np.repeat(order, counts)
+    step = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    second = order[np.repeat(following, counts) + step]
+    i = np.minimum(first, second)
+    j = np.maximum(first, second)
+    meet = np.all((low[j] <= high[i]) & (low[i] <= high[j]), axis=1)
+    i, j = i[meet], j[meet]
+    loop_order = np.lexsort((j, i))
+    return i[loop_order], j[loop_order]
+
+
+def overlapping(
+    rects: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float = GEOM_TOL
+) -> np.ndarray:
+    """:meth:`Rect.overlaps` of each pair ``(rects[i], rects[j])``, as an array.
+
+    *rects* holds ``x, y, width, height`` rows as for
+    :func:`meeting_pairs`; the test and its floats are those of
+    :meth:`Rect.overlaps` with tolerance *tol*.
+    """
+    x, y, width, height = rects.T
+    x2, y2 = x + width, y + height
+    return (
+        (x[i] < x2[j] - tol)
+        & (x[j] < x2[i] - tol)
+        & (y[i] < y2[j] - tol)
+        & (y[j] < y2[i] - tol)
+    )
 
 
 def bounding_box(rects: list[Rect]) -> Rect:

@@ -102,31 +102,45 @@ def generate_power_profile(
         One entry per floorplan block; test multipliers all within the
         configured range (verified by construction).
     """
-    rng = np.random.default_rng(config.seed)
     densities = dict(DEFAULT_CLASS_DENSITIES)
     if class_densities:
         densities.update(class_densities)
     classes = block_classes or {}
+    unit_classes = [classes.get(name) for name in floorplan.block_names]
+    for name, unit_class in zip(floorplan.block_names, unit_classes):
+        if unit_class is not None and unit_class not in densities:
+            raise PowerModelError(
+                f"block {name!r} has unknown unit class {unit_class!r}; "
+                f"known classes: {', '.join(sorted(densities))}"
+            )
 
-    cores: list[CorePower] = []
+    # In block order, each unclassed block draws its log-density and then
+    # every block its multiplier: one uniform draw per slot, all at once.
+    drawn = np.array([unit_class is None for unit_class in unit_classes])
+    multiplier_slot = np.cumsum(drawn + 1) - 1
+    density_slot = multiplier_slot[drawn] - 1
     d_low, d_high = config.density_range
     m_low, m_high = config.multiplier_range
-    for block in floorplan:
-        unit_class = classes.get(block.name)
-        if unit_class is not None:
-            if unit_class not in densities:
-                raise PowerModelError(
-                    f"block {block.name!r} has unknown unit class {unit_class!r}; "
-                    f"known classes: {', '.join(sorted(densities))}"
-                )
-            density = densities[unit_class]
-        else:
-            density = float(
-                np.exp(rng.uniform(np.log(d_low), np.log(d_high)))
-            )
-        functional = density * block.area
-        multiplier = float(rng.uniform(m_low, m_high))
-        cores.append(CorePower(block.name, functional, functional * multiplier))
+    low = np.full(len(drawn) + int(drawn.sum()), m_low, dtype=float)
+    high = np.full(len(low), m_high, dtype=float)
+    low[density_slot] = np.log(d_low)
+    high[density_slot] = np.log(d_high)
+    draws = np.random.default_rng(config.seed).uniform(low, high)
+
+    density = np.array(
+        [0.0 if unit is None else densities[unit] for unit in unit_classes],
+        dtype=float,
+    )
+    density[drawn] = np.exp(draws[density_slot])
+    _, _, width, height = floorplan.rect_array.T
+    functional = density * (width * height)
+    test = functional * draws[multiplier_slot]
+    cores = [
+        CorePower(name, functional_w, test_w)
+        for name, functional_w, test_w in zip(
+            floorplan.block_names, functional.tolist(), test.tolist()
+        )
+    ]
 
     profile = PowerProfile(
         cores,

@@ -62,7 +62,6 @@ class SocUnderTest:
             raise PowerModelError(
                 f"floorplan blocks without core data: {unpowered}"
             )
-        self._adjacency = floorplan.adjacency
 
     # -- construction from a power profile ----------------------------------------
 
@@ -102,8 +101,12 @@ class SocUnderTest:
 
     @property
     def adjacency(self) -> AdjacencyMap:
-        """The floorplan's shared adjacency map (:attr:`Floorplan.adjacency`)."""
-        return self._adjacency
+        """The floorplan's shared adjacency map (:attr:`Floorplan.adjacency`).
+
+        Built on first use, by whichever reader comes first (a model
+        build or the session model); decoding a report never needs it.
+        """
+        return self._floorplan.adjacency
 
     @property
     def package(self) -> PackageConfig:

@@ -23,17 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..floorplan.adjacency import AdjacencyMap
+import numpy as np
+
+from ..errors import ThermalModelError
+from ..floorplan.adjacency import SIDES, AdjacencyMap
 from ..floorplan.floorplan import Floorplan
 from ..floorplan.geometry import Side
 from .package import PackageConfig
 from .rc_network import CompiledNetwork, ThermalNetwork
 from .resistances import (
-    boundary_edge_resistance,
-    lateral_interface_resistance,
+    resistance_table,
     spreader_centre_to_edge_resistance,
     spreader_to_sink_resistance,
-    vertical_stack_resistance,
 )
 
 #: Node-name prefixes / fixed names used by the builder.
@@ -81,6 +82,12 @@ def build_thermal_network(
 ) -> BuiltModel:
     """Build and compile the full thermal network for a floorplan.
 
+    The die's nodes and its lateral, rim and vertical edges are added as
+    arrays from the floorplan's :func:`resistance_table`, one call per
+    edge family, in the order: interfaces, each block's die-edge
+    segments, each block's vertical stack; the package nodes and edges
+    follow.
+
     Parameters
     ----------
     floorplan:
@@ -89,24 +96,41 @@ def build_thermal_network(
         Package stack parameters.
     adjacency:
         Optional custom adjacency map (the floorplan's shared map when
-        omitted).
+        omitted), built on this floorplan or on one with the same
+        blocks in the same order.
 
     Returns
     -------
     BuiltModel
         Compiled network plus the inputs for downstream use.
+
+    Raises
+    ------
+    ThermalModelError
+        If *adjacency* was built on a floorplan whose block names, order
+        or rectangles differ from *floorplan*'s.
     """
     if adjacency is None:
         adjacency = floorplan.adjacency
+    mapped = adjacency.floorplan
+    if mapped is not floorplan and (
+        mapped.block_names != floorplan.block_names
+        or not np.array_equal(mapped.rect_array, floorplan.rect_array)
+    ):
+        raise ThermalModelError(
+            f"adjacency map of floorplan {mapped.name!r} does not match floorplan "
+            f"{floorplan.name!r}: the blocks, their order or their geometry differ"
+        )
+    table = resistance_table(adjacency, package)
 
     net = ThermalNetwork()
 
     # Die block nodes, each with its silicon heat capacity.
-    for block in floorplan:
-        capacitance = package.die_material.slab_capacitance(
-            package.die_thickness, block.area
-        )
-        net.add_node(die_node(block.name), capacitance)
+    _, _, width, height = floorplan.rect_array.T
+    die = net.add_nodes(
+        [die_node(name) for name in floorplan.block_names],
+        package.die_material.slab_capacitance(package.die_thickness, width * height),
+    )
 
     # Package nodes.  Plate capacitances are split by area share: the
     # spreader centre covers the die footprint, the sink centre covers
@@ -134,29 +158,22 @@ def build_thermal_network(
     )
 
     # Lateral die conduction.
-    for interface in adjacency.interfaces:
-        block_a = floorplan[interface.block_a]
-        block_b = floorplan[interface.block_b]
-        resistance = lateral_interface_resistance(block_a, block_b, interface, package)
-        net.add_resistance(
-            die_node(interface.block_a), die_node(interface.block_b), resistance
-        )
+    net.add_resistances(
+        die[adjacency.interface_blocks[:, 0]],
+        die[adjacency.interface_blocks[:, 1]],
+        table.lateral,
+    )
 
     # Die rim escape paths into the package periphery.
-    for block in floorplan:
-        for segment in adjacency.boundary_segments(block.name):
-            resistance = boundary_edge_resistance(block, segment, package)
-            net.add_resistance(
-                die_node(block.name), _SPREADER_EDGE[segment.side], resistance
-            )
+    rim_nodes = np.array([net.index_of(_SPREADER_EDGE[side]) for side in SIDES])
+    net.add_resistances(
+        die[adjacency.segment_blocks], rim_nodes[adjacency.segment_sides], table.rim
+    )
 
     # Vertical per-block paths into the spreader body.
-    for block in floorplan:
-        net.add_resistance(
-            die_node(block.name),
-            SPREADER_CENTER,
-            vertical_stack_resistance(block, package),
-        )
+    net.add_resistances(
+        die, np.full(len(die), net.index_of(SPREADER_CENTER)), table.vertical
+    )
 
     # Spreader internal conduction and the spreader-to-sink stack.
     centre_to_edge = spreader_centre_to_edge_resistance(package)

@@ -34,11 +34,9 @@ scheduler never needs grid-mode transients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from ..errors import SolverError, ThermalModelError
 from ..floorplan.floorplan import Floorplan
@@ -48,6 +46,9 @@ from .resistances import (
     spreader_centre_to_edge_resistance,
     spreader_to_sink_resistance,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 #: Default mesh resolution (cells per axis).
 DEFAULT_RESOLUTION = 32
@@ -156,6 +157,9 @@ class GridThermalSimulator:
                 f"blocks cover no grid cell at {nx}x{ny}: {uncovered}; "
                 f"increase the resolution"
             )
+        # Deferred: importing the package need not load scipy.sparse.
+        from scipy.sparse.linalg import splu
+
         self._factor = splu(self._assemble_matrix())
 
     # -- geometry mapping -------------------------------------------------------
@@ -266,10 +270,9 @@ class GridThermalSimulator:
             sink_periph, sink_convection_resistance(pkg) / (1.0 - spreader_share)
         )
 
-        matrix = csc_matrix(
-            (vals, (rows, cols)), shape=(self._n_nodes, self._n_nodes)
-        )
-        return matrix
+        from scipy.sparse import csc_matrix
+
+        return csc_matrix((vals, (rows, cols)), shape=(self._n_nodes, self._n_nodes))
 
     # -- solving ----------------------------------------------------------------------
 

@@ -14,8 +14,16 @@ for its accurate thermal simulations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
+
+import numpy as np
 
 from ..errors import ThermalModelError
+from ..spec_utils import is_positive_number
+
+#: A float, or an array of them: the slab and resistance formulas work
+#: elementwise on either.
+Value = TypeVar("Value", float, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -38,34 +46,40 @@ class Material:
     volumetric_heat_capacity: float
 
     def __post_init__(self) -> None:
-        if self.conductivity <= 0.0:
+        if not is_positive_number(self.conductivity):
             raise ThermalModelError(
-                f"material {self.name!r}: conductivity must be positive, "
-                f"got {self.conductivity!r}"
+                f"material {self.name!r}: conductivity must be a finite "
+                f"positive number, got {self.conductivity!r}"
             )
-        if self.volumetric_heat_capacity <= 0.0:
+        if not is_positive_number(self.volumetric_heat_capacity):
             raise ThermalModelError(
-                f"material {self.name!r}: volumetric heat capacity must be "
-                f"positive, got {self.volumetric_heat_capacity!r}"
+                f"material {self.name!r}: volumetric heat capacity must be a "
+                f"finite positive number, got {self.volumetric_heat_capacity!r}"
             )
 
-    def conduction_resistance(self, thickness: float, area: float) -> float:
-        """1-D conduction resistance of a slab: ``R = t / (k A)`` in K/W."""
-        if thickness <= 0.0 or area <= 0.0:
-            raise ThermalModelError(
-                f"slab must have positive thickness and area, got "
-                f"t={thickness!r}, A={area!r}"
-            )
+    def conduction_resistance(self, thickness: float, area: Value) -> Value:
+        """1-D conduction resistance of a slab: ``R = t / (k A)`` in K/W.
+
+        *area* may be an array of areas (one resistance each).
+        """
+        _check_slab(thickness, area)
         return thickness / (self.conductivity * area)
 
-    def slab_capacitance(self, thickness: float, area: float) -> float:
-        """Thermal capacitance of a slab: ``C = rho c_p t A`` in J/K."""
-        if thickness <= 0.0 or area <= 0.0:
-            raise ThermalModelError(
-                f"slab must have positive thickness and area, got "
-                f"t={thickness!r}, A={area!r}"
-            )
+    def slab_capacitance(self, thickness: float, area: Value) -> Value:
+        """Thermal capacitance of a slab: ``C = rho c_p t A`` in J/K.
+
+        *area* may be an array of areas (one capacitance each).
+        """
+        _check_slab(thickness, area)
         return self.volumetric_heat_capacity * thickness * area
+
+
+def _check_slab(thickness: float, area: float | np.ndarray) -> None:
+    if thickness <= 0.0 or np.any(np.less_equal(area, 0.0)):
+        raise ThermalModelError(
+            f"slab must have positive thickness and area, got "
+            f"t={thickness!r}, A={area!r}"
+        )
 
 
 #: Silicon at operating temperature (HotSpot defaults).

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..errors import ThermalModelError
+from ..spec_utils import is_finite_number, is_positive_number
 from ..units import DEFAULT_AMBIENT_C
 from .materials import COPPER, INTERFACE, SILICON, Material
 
@@ -100,13 +101,21 @@ class PackageConfig:
             "rim_coefficient": self.rim_coefficient,
         }
         for name, value in positive_fields.items():
-            if value <= 0.0:
+            if not is_positive_number(value):
                 raise ThermalModelError(
-                    f"package parameter {name} must be positive, got {value!r}"
+                    f"package parameter {name} must be a finite positive number, "
+                    f"got {value!r}"
                 )
-        if self.sink_side < self.spreader_side:
+        if not is_finite_number(self.ambient_c):
             raise ThermalModelError(
-                f"heat sink ({self.sink_side} m) must be at least as large as "
+                f"package parameter ambient_c must be a finite number, "
+                f"got {self.ambient_c!r}"
+            )
+        # The sink's periphery is the annulus outside the spreader; the
+        # builder splits the convection resistance by its area share.
+        if not self.sink_side > self.spreader_side:
+            raise ThermalModelError(
+                f"heat sink ({self.sink_side} m) must be larger than "
                 f"the spreader ({self.spreader_side} m)"
             )
 

@@ -30,28 +30,11 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ThermalModelError
-
-
-@dataclass(frozen=True)
-class ResistiveEdge:
-    """A thermal resistance between two named nodes."""
-
-    node_a: str
-    node_b: str
-    resistance: float
-
-
-@dataclass(frozen=True)
-class GroundTie:
-    """A thermal resistance from a node to ambient (thermal ground)."""
-
-    node: str
-    resistance: float
 
 
 class CompiledNetwork:
@@ -119,12 +102,24 @@ class ThermalNetwork:
         net.add_resistance("die:Icache", "spreader:center", 2.5)
         net.add_ground_resistance("spreader:center", 0.6)
         compiled = net.compile()
+
+    Nodes are numbered in the order they are added, and the bulk methods
+    (:meth:`add_nodes`, :meth:`add_resistances`) take names and numbers
+    as arrays, so a network builder adds a whole family of nodes or
+    edges in one call.  Every edge, single or bulk, goes through the
+    same checks and the same :meth:`compile`.
     """
 
     def __init__(self) -> None:
-        self._capacitance: dict[str, float] = {}
-        self._edges: list[ResistiveEdge] = []
-        self._ground_ties: list[GroundTie] = []
+        self._index: dict[str, int] = {}
+        self._capacitance: list[np.ndarray] = []
+        no_nodes = np.zeros(0, dtype=np.intp)
+        # Edge and ground-tie chunks in the order they were added.
+        self._edge_a: list[np.ndarray] = [no_nodes]
+        self._edge_b: list[np.ndarray] = [no_nodes]
+        self._edge_r: list[np.ndarray] = [np.zeros(0)]
+        self._ground_nodes: list[np.ndarray] = [no_nodes]
+        self._ground_r: list[np.ndarray] = [np.zeros(0)]
 
     # -- construction ----------------------------------------------------------
 
@@ -140,44 +135,99 @@ class ThermalNetwork:
             node; such nodes are fine for steady-state solves and are
             given a tiny stabilising mass by the transient solver).
         """
-        if name in self._capacitance:
-            raise ThermalModelError(f"duplicate thermal node {name!r}")
-        if capacitance < 0.0:
+        self.add_nodes([name], np.array([capacitance], dtype=float))
+
+    def add_nodes(self, names: Sequence[str], capacitances: np.ndarray) -> np.ndarray:
+        """Register several nodes at once; returns their node numbers.
+
+        *capacitances* (J/K, one per name) is copied.
+        """
+        first = len(self._index)
+        fresh: dict[str, int] = {}
+        for name in names:
+            if name in self._index or name in fresh:
+                raise ThermalModelError(f"duplicate thermal node {name!r}")
+            fresh[name] = first + len(fresh)
+        capacitances = np.array(capacitances, dtype=float)
+        negative = ~(capacitances >= 0.0)
+        if negative.any():
+            bad = int(np.argmax(negative))
             raise ThermalModelError(
-                f"node {name!r}: capacitance must be non-negative, got {capacitance!r}"
+                f"node {names[bad]!r}: capacitance must be non-negative, "
+                f"got {float(capacitances[bad])!r}"
             )
-        self._capacitance[name] = capacitance
+        self._index.update(fresh)
+        self._capacitance.append(capacitances)
+        return np.arange(first, len(self._index))
 
     def has_node(self, name: str) -> bool:
         """True if the node exists."""
-        return name in self._capacitance
+        return name in self._index
+
+    def index_of(self, name: str) -> int:
+        """The number of the named node (its matrix row after compile)."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ThermalModelError(
+                f"unknown thermal node {name!r}; add_node() it first"
+            ) from None
 
     def add_resistance(self, node_a: str, node_b: str, resistance: float) -> None:
         """Connect two existing nodes with a thermal resistance (K/W)."""
-        self._require_node(node_a)
-        self._require_node(node_b)
-        if node_a == node_b:
-            raise ThermalModelError(f"self-loop resistance on node {node_a!r}")
-        if resistance <= 0.0:
+        self._add_edges(
+            np.array([self.index_of(node_a)]),
+            np.array([self.index_of(node_b)]),
+            np.array([resistance], dtype=float),
+        )
+
+    def add_resistances(
+        self, nodes_a: np.ndarray, nodes_b: np.ndarray, resistances: np.ndarray
+    ) -> None:
+        """Connect node ``nodes_a[k]`` to ``nodes_b[k]`` through ``resistances[k]``.
+
+        The arrays are copied: changing them afterwards leaves the
+        network as it was.
+        """
+        nodes_a = np.array(nodes_a, dtype=np.intp)
+        nodes_b = np.array(nodes_b, dtype=np.intp)
+        self._check_numbers(nodes_a)
+        self._check_numbers(nodes_b)
+        self._add_edges(nodes_a, nodes_b, np.array(resistances, dtype=float))
+
+    def _add_edges(
+        self, nodes_a: np.ndarray, nodes_b: np.ndarray, resistances: np.ndarray
+    ) -> None:
+        loops = nodes_a == nodes_b
+        if loops.any():
+            node = self.node_names[int(nodes_a[np.argmax(loops)])]
+            raise ThermalModelError(f"self-loop resistance on node {node!r}")
+        bad = ~(resistances > 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            names = self.node_names
             raise ThermalModelError(
-                f"resistance {node_a!r}--{node_b!r} must be positive, "
-                f"got {resistance!r}"
+                f"resistance {names[int(nodes_a[k])]!r}--{names[int(nodes_b[k])]!r} "
+                f"must be positive, got {float(resistances[k])!r}"
             )
-        self._edges.append(ResistiveEdge(node_a, node_b, resistance))
+        self._edge_a.append(nodes_a)
+        self._edge_b.append(nodes_b)
+        self._edge_r.append(resistances)
 
     def add_ground_resistance(self, node: str, resistance: float) -> None:
         """Connect an existing node to ambient with a resistance (K/W)."""
-        self._require_node(node)
-        if resistance <= 0.0:
+        index = self.index_of(node)
+        if not resistance > 0.0:
             raise ThermalModelError(
                 f"ground resistance on {node!r} must be positive, got {resistance!r}"
             )
-        self._ground_ties.append(GroundTie(node, resistance))
+        self._ground_nodes.append(np.array([index]))
+        self._ground_r.append(np.array([resistance], dtype=float))
 
-    def _require_node(self, name: str) -> None:
-        if name not in self._capacitance:
+    def _check_numbers(self, nodes: np.ndarray) -> None:
+        if len(nodes) and not (0 <= nodes.min() and nodes.max() < len(self._index)):
             raise ThermalModelError(
-                f"unknown thermal node {name!r}; add_node() it first"
+                f"unknown thermal node number among {nodes.tolist()!r}"
             )
 
     # -- inspection ---------------------------------------------------------------
@@ -185,22 +235,17 @@ class ThermalNetwork:
     @property
     def node_names(self) -> tuple[str, ...]:
         """Node names in insertion order (the matrix order after compile)."""
-        return tuple(self._capacitance)
-
-    @property
-    def edges(self) -> tuple[ResistiveEdge, ...]:
-        """All node-to-node resistive edges."""
-        return tuple(self._edges)
-
-    @property
-    def ground_ties(self) -> tuple[GroundTie, ...]:
-        """All node-to-ambient resistive ties."""
-        return tuple(self._ground_ties)
+        return tuple(self._index)
 
     # -- compilation -----------------------------------------------------------------
 
     def compile(self) -> CompiledNetwork:
         """Validate the network and build its matrices.
+
+        Each edge's conductance is added to its two diagonal entries and
+        subtracted from its two off-diagonal ones, edge by edge in the
+        order the edges were added (``np.add.at`` is unbuffered), then
+        the ground ties are added to the diagonal.
 
         Raises
         ------
@@ -214,48 +259,45 @@ class ThermalNetwork:
         if not names:
             raise ThermalModelError("cannot compile an empty thermal network")
         n = len(names)
-        index = {name: i for i, name in enumerate(names)}
-
+        a, b = np.concatenate(self._edge_a), np.concatenate(self._edge_b)
+        g = 1.0 / np.concatenate(self._edge_r)
         conductance = np.zeros((n, n))
-        for edge in self._edges:
-            g = 1.0 / edge.resistance
-            i, j = index[edge.node_a], index[edge.node_b]
-            conductance[i, i] += g
-            conductance[j, j] += g
-            conductance[i, j] -= g
-            conductance[j, i] -= g
-        for tie in self._ground_ties:
-            i = index[tie.node]
-            conductance[i, i] += 1.0 / tie.resistance
+        np.add.at(
+            conductance,
+            (np.stack([a, b, a, b], 1).ravel(), np.stack([a, b, b, a], 1).ravel()),
+            np.stack([g, g, -g, -g], 1).ravel(),
+        )
+        grounded = np.concatenate(self._ground_nodes)
+        np.add.at(
+            conductance, (grounded, grounded), 1.0 / np.concatenate(self._ground_r)
+        )
 
-        self._check_grounded(names, index)
+        self._check_grounded(names, a, b, grounded)
 
-        capacitance = np.array([self._capacitance[name] for name in names])
+        capacitance = np.concatenate(self._capacitance)
         return CompiledNetwork(names, conductance, capacitance)
 
-    def _check_grounded(self, names: tuple[str, ...], index: dict[str, int]) -> None:
+    @staticmethod
+    def _check_grounded(
+        names: tuple[str, ...], a: np.ndarray, b: np.ndarray, grounded: np.ndarray
+    ) -> None:
         """Every node must reach a ground tie through resistive edges."""
-        grounded = {tie.node for tie in self._ground_ties}
-        if not grounded:
+        if not len(grounded):
             raise ThermalModelError(
                 "thermal network has no connection to ambient; "
                 "add_ground_resistance() at least once"
             )
-        # Breadth-first flood from the grounded nodes across all edges.
-        adjacency: dict[str, list[str]] = {name: [] for name in names}
-        for edge in self._edges:
-            adjacency[edge.node_a].append(edge.node_b)
-            adjacency[edge.node_b].append(edge.node_a)
-        reached = set(grounded)
-        frontier = list(grounded)
-        while frontier:
-            current = frontier.pop()
-            for neighbour in adjacency[current]:
-                if neighbour not in reached:
-                    reached.add(neighbour)
-                    frontier.append(neighbour)
-        floating = [name for name in names if name not in reached]
-        if floating:
+        # Flood from the grounded nodes, one edge layer per pass.
+        reached = np.zeros(len(names), dtype=bool)
+        reached[grounded] = True
+        while True:
+            crossing = reached[a] != reached[b]
+            if not crossing.any():
+                break
+            reached[a[crossing]] = True
+            reached[b[crossing]] = True
+        if not reached.all():
+            floating = [name for name, hit in zip(names, reached.tolist()) if not hit]
             raise ThermalModelError(
                 f"thermal nodes have no path to ambient (singular steady state): "
                 f"{', '.join(sorted(floating))}"

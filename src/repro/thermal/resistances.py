@@ -22,28 +22,66 @@ Three resistance families exist:
   the remaining die thickness, the TIM, and into the spreader,
   including a spreading (constriction) term that penalises small,
   power-dense blocks.
+
+The formulas are written once, on numbers or NumPy arrays alike:
+:func:`resistance_table` evaluates them for every interface, die-edge
+segment and block of a network in a few array passes, and the
+per-element functions below evaluate them for one.  The full network
+builder and the session model both read the table.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
-from ..floorplan.adjacency import BoundarySegment, Interface
+import numpy as np
+
+from ..floorplan.adjacency import (
+    HORIZONTAL,
+    AdjacencyMap,
+    BoundarySegment,
+    Interface,
+)
 from ..floorplan.floorplan import Block
+from .materials import Value
 from .package import PackageConfig
 
 
-def _half_path_resistance(
-    block: Block, side_is_horizontal: bool, shared_length: float, package: PackageConfig
-) -> float:
+def _half_path(extent: Value, shared_length: Value, package: PackageConfig) -> Value:
     """Resistance from a block's centre to one of its edges.
 
-    1-D conduction across half the block extent perpendicular to the
+    1-D conduction across half the block *extent* perpendicular to the
     edge, through the die cross-section ``die_thickness x shared_length``.
     """
-    extent = block.rect.height if side_is_horizontal else block.rect.width
     area = package.die_thickness * shared_length
     return (extent / 2.0) / (package.die_material.conductivity * area)
+
+
+def _rim_path(extent: Value, length: Value, package: PackageConfig) -> Value:
+    """Half-path to a die-edge segment in series with its rim escape."""
+    return _half_path(extent, length, package) + package.rim_coefficient / length
+
+
+def _spreading(area: Value, package: PackageConfig) -> Value:
+    """Constriction resistance of a source of *area* on the spreader."""
+    disc_diameter = 2.0 * np.sqrt(area / math.pi)
+    return 1.0 / (2.0 * package.spreader_material.conductivity * disc_diameter)
+
+
+def _vertical_stack(area: Value, package: PackageConfig) -> Value:
+    """Die conduction + TIM + spreading constriction over *area*."""
+    return (
+        package.die_material.conduction_resistance(package.die_thickness, area)
+        + package.tim_material.conduction_resistance(package.tim_thickness, area)
+        + _spreading(area, package)
+    )
+
+
+def _extent(block: Block, side_is_horizontal: bool) -> float:
+    """The block's extent perpendicular to a side."""
+    return block.rect.height if side_is_horizontal else block.rect.width
 
 
 def lateral_interface_resistance(
@@ -56,9 +94,9 @@ def lateral_interface_resistance(
     """
     side_a = interface.side_of(block_a.name)
     side_b = interface.side_of(block_b.name)
-    return _half_path_resistance(
-        block_a, side_a.is_horizontal, interface.length, package
-    ) + _half_path_resistance(block_b, side_b.is_horizontal, interface.length, package)
+    return _half_path(
+        _extent(block_a, side_a.is_horizontal), interface.length, package
+    ) + _half_path(_extent(block_b, side_b.is_horizontal), interface.length, package)
 
 
 def boundary_edge_resistance(
@@ -72,11 +110,9 @@ def boundary_edge_resistance(
     physical reason the paper's session model treats passive-neighbour
     paths as the valuable ones.
     """
-    half_path = _half_path_resistance(
-        block, segment.side.is_horizontal, segment.length, package
+    return _rim_path(
+        _extent(block, segment.side.is_horizontal), segment.length, package
     )
-    rim = package.rim_coefficient / segment.length
-    return half_path + rim
 
 
 def spreading_resistance(area: float, package: PackageConfig) -> float:
@@ -91,8 +127,7 @@ def spreading_resistance(area: float, package: PackageConfig) -> float:
     """
     if area <= 0.0:
         raise ValueError(f"block area must be positive, got {area!r}")
-    disc_diameter = 2.0 * math.sqrt(area / math.pi)
-    return 1.0 / (2.0 * package.spreader_material.conductivity * disc_diameter)
+    return float(_spreading(area, package))
 
 
 def vertical_die_resistance(block: Block, package: PackageConfig) -> float:
@@ -122,11 +157,7 @@ def vertical_stack_resistance(block: Block, package: PackageConfig) -> float:
     path) uses the same value in series with the shared spreader-to-
     ambient path.
     """
-    return (
-        vertical_die_resistance(block, package)
-        + vertical_tim_resistance(block, package)
-        + spreading_resistance(block.area, package)
-    )
+    return float(_vertical_stack(block.area, package))
 
 
 def spreader_to_sink_resistance(package: PackageConfig) -> float:
@@ -163,3 +194,115 @@ def shared_path_resistance(package: PackageConfig) -> float:
     per-block :func:`vertical_stack_resistance`.
     """
     return spreader_to_sink_resistance(package) + sink_convection_resistance(package)
+
+
+#: (adjacency map, package) pairs whose resistance tables each process
+#: keeps; an entry is a few floats per block and interface.
+RESISTANCE_TABLE_SIZE = 64
+
+
+@dataclass(frozen=True, eq=False)
+class ResistanceTable:
+    """Every resistance of one floorplan's network, as arrays (K/W).
+
+    Built by :func:`resistance_table` and shared read-only by the full
+    network builder and every session model on the same floorplan and
+    package.  ``lateral[t]`` joins the blocks of
+    ``adjacency.interface_blocks[t]``, ``rim[s]`` connects block
+    ``adjacency.segment_blocks[s]`` to its die edge, ``edge[i]`` is the
+    parallel combination of block *i*'s rim paths (``inf`` for a block
+    off the die edge) and ``vertical[i]`` its die + TIM + spreading
+    stack; ``shared_tail`` is the spreader/sink/convection path every
+    block's vertical stack continues into.
+    """
+
+    adjacency: AdjacencyMap
+    lateral: np.ndarray
+    rim: np.ndarray
+    edge: np.ndarray
+    vertical: np.ndarray
+    shared_tail: float
+
+    @cached_property
+    def neighbour_conductances(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per block, each lateral neighbour's index with its path's conductance.
+
+        In interface order, leaving out infinite resistances; the session
+        model's pricing kernel reads these.
+        """
+        pairs = self.adjacency.interface_blocks
+        finite = ~np.isinf(self.lateral)
+        owner = np.concatenate([pairs[finite, 0], pairs[finite, 1]])
+        other = np.concatenate([pairs[finite, 1], pairs[finite, 0]])
+        conductance = np.tile(1.0 / self.lateral[finite], 2)
+        interface = np.tile(np.flatnonzero(finite), 2)
+        order = np.lexsort((interface, owner))
+        entries = list(zip(other[order].tolist(), conductance[order].tolist()))
+        stops = np.cumsum(np.bincount(owner, minlength=len(self.vertical))).tolist()
+        return tuple(
+            tuple(entries[start:stop]) for start, stop in zip([0] + stops, stops)
+        )
+
+    def escape_conductances(
+        self, include_vertical: bool
+    ) -> tuple[tuple[float, ...], ...]:
+        """Per block, the conductances of the paths no session rewires.
+
+        The die-edge path, then the vertical path (stack plus shared
+        tail) when *include_vertical*; infinite resistances are left out.
+        """
+        return self._escapes[include_vertical]
+
+    @cached_property
+    def _escapes(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        edge: list[tuple[float, ...]] = [
+            () if math.isinf(r) else (1.0 / r,) for r in self.edge.tolist()
+        ]
+        vertical: list[tuple[float, ...]] = [
+            () if math.isinf(r) else (1.0 / r,)
+            for r in (self.vertical + self.shared_tail).tolist()
+        ]
+        return tuple(edge), tuple(e + v for e, v in zip(edge, vertical))
+
+
+@lru_cache(maxsize=RESISTANCE_TABLE_SIZE)
+def resistance_table(
+    adjacency: AdjacencyMap, package: PackageConfig
+) -> ResistanceTable:
+    """The resistance table of one (adjacency map, package) pair, computed once.
+
+    Keyed by the adjacency map object (a floorplan's shared map, or a
+    custom one) and the package's value.  The formulas are the ones the
+    per-element functions of this module evaluate, applied to whole
+    arrays with the same floating-point operations in the same order,
+    so each entry is the float those functions return.
+    """
+    floorplan = adjacency.floorplan
+    _, _, width, height = floorplan.rect_array.T
+
+    a, b = adjacency.interface_blocks.T
+    horizontal = HORIZONTAL[adjacency.interface_sides]
+    lengths = adjacency.interface_lengths
+    lateral = _half_path(
+        np.where(horizontal, height[a], width[a]), lengths, package
+    ) + _half_path(np.where(horizontal, height[b], width[b]), lengths, package)
+
+    blocks = adjacency.segment_blocks
+    horizontal = HORIZONTAL[adjacency.segment_sides]
+    rim = _rim_path(
+        np.where(horizontal, height[blocks], width[blocks]),
+        adjacency.segment_lengths,
+        package,
+    )
+    # parallel() of each block's rim paths: conductances summed in order.
+    total = np.zeros(len(floorplan))
+    np.add.at(total, blocks, 1.0 / rim)
+    edge = np.full(len(floorplan), math.inf)
+    np.divide(1.0, total, out=edge, where=total != 0.0)
+
+    vertical = _vertical_stack(width * height, package)
+    for array in (lateral, rim, edge, vertical):
+        array.flags.writeable = False
+    return ResistanceTable(
+        adjacency, lateral, rim, edge, vertical, shared_path_resistance(package)
+    )

@@ -28,6 +28,11 @@ PROMOTED = [
     "mypy-repro.reactive",
     "mypy-repro.reactive.*",
     "mypy-repro.service.protocol",
+    "mypy-repro.service.endpoint",
+    "mypy-repro.floorplan.adjacency",
+    "mypy-repro.thermal.builder",
+    "mypy-repro.thermal.rc_network",
+    "mypy-repro.thermal.resistances",
 ]
 
 
@@ -87,6 +92,14 @@ class TestMypyRun:
                 "repro.reactive",
                 "-m",
                 "repro.engine.blas",
+                "-m",
+                "repro.floorplan.adjacency",
+                "-m",
+                "repro.thermal.builder",
+                "-m",
+                "repro.thermal.rc_network",
+                "-m",
+                "repro.thermal.resistances",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"

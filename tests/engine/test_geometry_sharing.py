@@ -3,8 +3,8 @@
 :meth:`ScenarioSpec.build_soc` takes its floorplan from a bounded LRU
 keyed by the generator arguments (built-in layouts are shared by the
 floorplan library), every shared floorplan computes its adjacency map
-and fingerprint once, and the session model computes its conductances
-once per (floorplan, package).  These tests pin that the sharing
+and fingerprint once, and one resistance table per (floorplan, package)
+feeds both the network builder and the session model.  These tests pin that the sharing
 happens, that the shared artefacts equal fresh ones, and that a solve
 through warm memos equals a solve with every memo cleared, field for
 field.
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.api import ScheduleRequest, Workbench
 from repro.api.request import report_from_dict, report_to_dict
-from repro.core import session_model
 from repro.core.session_model import SessionModelConfig, SessionThermalModel
 from repro.engine import scenarios
 from repro.engine.cache import model_key
@@ -32,6 +31,7 @@ from repro.errors import ReproError
 from repro.floorplan import library
 from repro.floorplan.adjacency import AdjacencyMap
 from repro.floorplan.generator import grid_floorplan, slicing_floorplan
+from repro.thermal import resistances
 from repro.thermal.package import DEFAULT_PACKAGE
 
 SPECS = [
@@ -44,10 +44,10 @@ SPECS = [
 
 
 def clear_geometry_memos() -> None:
-    """Forget every shared floorplan and conductance set of this process."""
+    """Forget every shared floorplan and resistance table of this process."""
     scenarios._generated_floorplan.cache_clear()
     scenarios._package.cache_clear()
-    session_model._network_paths.cache_clear()
+    resistances.resistance_table.cache_clear()
     for builtin in (library.alpha15, library.hypothetical7, library.worked_example6):
         builtin.cache_clear()
 
@@ -219,6 +219,18 @@ class TestReportDecode:
         assert decoded.schedule.soc.adjacency is floorplan.adjacency
         assert comparable(decoded) == comparable(grid16_report)
 
+    def test_decode_builds_no_adjacency_map(self, grid16_report):
+        data = report_to_dict(grid16_report)
+        scenarios._generated_floorplan.cache_clear()
+        decoded = report_from_dict(data)
+        floorplan = decoded.schedule.soc.floorplan
+        assert floorplan is grid16_report.request.scenario.build_floorplan()
+        # Floorplan.adjacency is a cached_property: built maps live in vars().
+        assert "adjacency" not in vars(floorplan)
+        assert comparable(decoded) == comparable(grid16_report)
+        assert isinstance(decoded.schedule.soc.adjacency, AdjacencyMap)
+        assert "adjacency" in vars(floorplan)
+
     def test_decode_still_rejects_an_unknown_core(self, grid16_report):
         data = report_to_dict(grid16_report)
         session = data["result"]["schedule"]["sessions"][0]
@@ -278,10 +290,10 @@ class TestMemoBounds:
 
     def test_conductance_memo_stays_at_its_bound(self):
         clear_geometry_memos()
-        for i in range(session_model.CONDUCTANCE_MEMO_SIZE + 4):
+        for i in range(resistances.RESISTANCE_TABLE_SIZE + 4):
             spec = ScenarioSpec(
                 kind="grid", rows=2, cols=2, convection_resistance=0.3 + 1e-3 * i
             )
             SessionThermalModel(spec.build_soc())
-        info = session_model._network_paths.cache_info()
-        assert info.currsize == info.maxsize == session_model.CONDUCTANCE_MEMO_SIZE
+        info = resistances.resistance_table.cache_info()
+        assert info.currsize == info.maxsize == resistances.RESISTANCE_TABLE_SIZE

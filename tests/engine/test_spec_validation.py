@@ -27,7 +27,7 @@ from repro.api.request import request_to_dict
 from repro.core.serialize import load_jsonl
 from repro.core.session_model import SessionModelConfig
 from repro.engine.runner import BatchRunner, load_batch_jsonl
-from repro.engine.scenarios import ScenarioSpec
+from repro.engine.scenarios import MAX_SCENARIO_BLOCKS, ScenarioSpec
 from repro.errors import ProtocolError, RequestError, SchedulingError
 from repro.service.answer_cache import AnswerCache, warm_cache_from_archive
 from repro.service.protocol import decode_frame, parse_submit_frame, submit_frame
@@ -153,6 +153,53 @@ class TestScenarioFields:
     def test_builtin_kinds_check_them_too(self, field, value):
         with pytest.raises(SchedulingError, match=field):
             ScenarioSpec(kind="alpha15", **{field: value})
+
+
+#: Generated scenarios past the dense model's block limit.  None is built:
+#: construction refuses them before any geometry exists.
+TOO_MANY_BLOCKS = [
+    {"kind": "grid", "rows": 200, "cols": 200},
+    {"kind": "grid", "rows": MAX_SCENARIO_BLOCKS + 1, "cols": 1},
+    {"kind": "grid", "rows": 33, "cols": 32},
+    {"kind": "slicing", "n_blocks": MAX_SCENARIO_BLOCKS + 1},
+    {"kind": "slicing", "n_blocks": 1_000_000},
+]
+
+
+@pytest.mark.parametrize("fields", TOO_MANY_BLOCKS, ids=repr)
+class TestBlockLimit:
+    def test_scenario_spec(self, fields):
+        with pytest.raises(SchedulingError, match="blocks exceeds the limit of 1024"):
+            ScenarioSpec(**fields)
+
+    def test_schedule_request(self, fields):
+        with pytest.raises(SchedulingError, match="blocks exceeds"):
+            ScheduleRequest(scenario=ScenarioSpec(**fields), tl_c=120.0, stcl=60.0)
+
+    def test_request_from_dict(self, fields):
+        data = request_to_dict(
+            ScheduleRequest(scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)
+        )
+        data["scenario"].update(fields)
+        with pytest.raises(SchedulingError, match="blocks exceeds"):
+            request_from_dict(data)
+
+    def test_submit_frame(self, fields):
+        frame = submit_frame(
+            "c1", ScheduleRequest(scenario=ScenarioSpec(**GRID), tl_c=120.0, stcl=60.0)
+        )
+        frame["request"]["scenario"].update(fields)
+        with pytest.raises(ProtocolError, match="blocks exceeds"):
+            parse_submit_frame(decode_frame(json.dumps(frame)))
+
+
+def test_block_limit_admits_its_own_size():
+    assert MAX_SCENARIO_BLOCKS == 1024
+    ScenarioSpec(kind="grid", rows=32, cols=32)
+    ScenarioSpec(kind="grid", rows=MAX_SCENARIO_BLOCKS, cols=1)
+    ScenarioSpec(kind="slicing", n_blocks=MAX_SCENARIO_BLOCKS)
+    # The generator fields of other kinds are not block counts.
+    ScenarioSpec(kind="alpha15", rows=200, cols=200, n_blocks=10**6)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.api import ScheduleRequest
-from repro.api.request import report_to_dict
+from repro.api.request import report_to_dict, request_to_dict
 from repro.engine import ScenarioSpec
 from repro.engine.cache import MODEL_CACHE_ENTRIES
 from repro.errors import ProtocolError, ServiceError
@@ -23,6 +23,9 @@ from repro.service import (
 )
 
 REQUEST = ScheduleRequest(soc="worked_example6", tl_c=80.0, stcl=60.0)
+GRID_REQUEST = ScheduleRequest(
+    scenario=ScenarioSpec(kind="grid", rows=2, cols=2), tl_c=120.0, stcl=60.0
+)
 INFEASIBLE = ScheduleRequest(soc="worked_example6", tl_c=30.0, stcl=60.0)
 
 
@@ -280,6 +283,36 @@ class TestProtocolOverTcp:
             assert response["type"] == "error"
             assert response["id"] == "b1"
             assert response["error_type"] == "ProtocolError"
+            writer.close()
+            await writer.wait_closed()
+
+        run_with_server(scenario)
+
+
+    def test_oversized_scenario_gets_error_frame_and_the_worker_answers_on(self):
+        async def scenario(server, service):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            frame = submit_frame("big", REQUEST)
+            frame["request"] = dict(
+                frame["request"],
+                soc=None,
+                scenario=request_to_dict(GRID_REQUEST)["scenario"]
+                | {"rows": 200, "cols": 200},
+            )
+            writer.write(encode_frame(frame))
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            assert response["type"] == "error"
+            assert response["id"] == "big"
+            assert response["error_type"] == "ProtocolError"
+            assert "40000 blocks" in response["error"]
+            writer.write(encode_frame(submit_frame("next", REQUEST)))
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            assert response["type"] == "report"
+            assert response["id"] == "next"
             writer.close()
             await writer.wait_closed()
 

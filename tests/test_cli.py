@@ -195,6 +195,14 @@ class TestSolveCommand:
         assert exit_code == 0
         assert "Gantt" in capsys.readouterr().out
 
+    def test_grid_past_the_block_limit_is_refused(self, capsys):
+        exit_code = solve_main(
+            ["--kind", "grid", "--rows", "200", "--cols", "200",
+             "--tl-headroom", "1.3", "--stcl-headroom", "2.0"]
+        )
+        assert exit_code == 1
+        assert "error: a grid scenario of 40000 blocks" in capsys.readouterr().err
+
     def test_save_json(self, tmp_path, capsys):
         target = tmp_path / "solve.json"
         exit_code = solve_main(

@@ -162,3 +162,32 @@ def test_library_imports_and_solves_without_networkx():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_import_solve_and_decode_leave_scipy_sparse_unloaded():
+    """Only the grid-mode simulator needs scipy.sparse; it imports it itself."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro import ScheduleRequest, solve
+        from repro.api.request import report_from_dict, report_to_dict
+        from repro.engine import ScenarioSpec
+
+        assert "scipy.sparse" not in sys.modules
+        scenario = ScenarioSpec(kind="grid", rows=3, cols=4)
+        request = ScheduleRequest(scenario=scenario, tl_headroom=1.2, stcl_headroom=2.0)
+        report = solve(request)
+        decoded = report_from_dict(report_to_dict(report))
+        assert decoded.schedule.length_s == report.schedule.length_s
+        assert "scipy.sparse" not in sys.modules
+        """
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not existing else os.pathsep.join([src, existing])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ThermalModelError
 from repro.floorplan.adjacency import AdjacencyMap
+from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.generator import grid_floorplan
 from repro.floorplan.library import alpha15, hypothetical7
 from repro.thermal.builder import (
@@ -130,3 +132,35 @@ class TestResistanceScaling:
         i = weak_rim.network.index_of(die_node("C0_0"))
         j = strong_rim.network.index_of(die_node("C0_0"))
         assert t_strong[j] < t_weak[i]
+
+
+class TestAdjacencyArgument:
+    """A custom map must describe the floorplan's own blocks, in its order."""
+
+    def test_map_of_an_equal_floorplan_builds_the_same_network(self):
+        plan = grid_floorplan(3, 3)
+        twin = Floorplan(list(plan.blocks), name="twin")
+        built = build_thermal_network(plan, DEFAULT_PACKAGE, AdjacencyMap(twin))
+        expected = build_thermal_network(plan, DEFAULT_PACKAGE)
+        assert np.array_equal(built.network.conductance, expected.network.conductance)
+        assert np.array_equal(built.network.capacitance, expected.network.capacitance)
+
+    def test_map_of_a_reordered_floorplan_is_refused(self):
+        plan = grid_floorplan(3, 3)
+        reordered = Floorplan(list(reversed(plan.blocks)), name="reordered")
+        with pytest.raises(ThermalModelError, match="order"):
+            build_thermal_network(plan, DEFAULT_PACKAGE, AdjacencyMap(reordered))
+
+    def test_map_of_another_block_count_is_refused(self):
+        plan = grid_floorplan(3, 3)
+        with pytest.raises(ThermalModelError, match="does not match"):
+            build_thermal_network(
+                plan, DEFAULT_PACKAGE, AdjacencyMap(grid_floorplan(2, 2))
+            )
+
+    def test_map_of_moved_blocks_is_refused(self):
+        plan = grid_floorplan(2, 2, die_width=2e-3, die_height=2e-3)
+        wider = grid_floorplan(2, 2, die_width=4e-3, die_height=2e-3)
+        assert wider.block_names == plan.block_names
+        with pytest.raises(ThermalModelError, match="geometry"):
+            build_thermal_network(plan, DEFAULT_PACKAGE, AdjacencyMap(wider))

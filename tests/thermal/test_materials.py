@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ThermalModelError
@@ -16,6 +19,13 @@ class TestMaterialValidation:
     def test_rejects_nonpositive_heat_capacity(self):
         with pytest.raises(ThermalModelError):
             Material("bad", conductivity=1.0, volumetric_heat_capacity=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True], ids=repr)
+    @pytest.mark.parametrize("field", ["conductivity", "volumetric_heat_capacity"])
+    def test_rejects_non_finite_or_boolean(self, field, value):
+        fields = {"conductivity": 1.0, "volumetric_heat_capacity": 1.0, field: value}
+        with pytest.raises(ThermalModelError, match=field.replace("_", " ")):
+            Material("bad", **fields)
 
 
 class TestConductionResistance:
@@ -34,6 +44,15 @@ class TestConductionResistance:
             SILICON.conduction_resistance(0.0, 1.0)
         with pytest.raises(ThermalModelError):
             SILICON.conduction_resistance(1.0, 0.0)
+
+    def test_an_array_of_areas_matches_each_area(self):
+        areas = np.array([1e-6, 3e-6, 4e-5])
+        resistances = SILICON.conduction_resistance(1e-3, areas)
+        assert resistances.tolist() == [
+            SILICON.conduction_resistance(1e-3, area) for area in areas.tolist()
+        ]
+        with pytest.raises(ThermalModelError):
+            SILICON.conduction_resistance(1e-3, np.array([1e-6, 0.0]))
 
 
 class TestSlabCapacitance:
