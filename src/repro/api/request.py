@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from ..core.scheduler import ScheduleResult
@@ -160,8 +161,15 @@ class ScheduleRequest:
         wire frames are byte-identical — the property the scheduling
         service's in-flight deduplication relies on.  Unlike ``hash()``,
         the digest survives process boundaries and interpreter hash
-        randomisation.
+        randomisation.  A request is immutable, so the digest is
+        computed once per request object (a pickled or deep-copied
+        request carries it along; ``dataclasses.replace`` builds a new
+        request, which hashes afresh).
         """
+        return self._content_digest
+
+    @cached_property
+    def _content_digest(self) -> str:
         payload = request_to_dict(self)
         del payload["schema_version"]  # identity, not format vintage
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -20,7 +20,11 @@ path terminating at ground (M3), the network falls apart into one
 independent star per active core, and the equivalent resistance is a
 plain parallel combination — the paper's Figure 4.  That is what makes
 the model "low-complexity": evaluating a candidate session is O(degree)
-arithmetic instead of a linear solve.
+arithmetic instead of a linear solve.  It also means a core's ``Rth``
+depends only on which of its own neighbours are active, so a model
+computes each (core, active-neighbour bitmask) pair's ``Rth`` once and
+looks it up afterwards: Algorithm 1 retries a growth pass after every
+discarded session, and the retries meet the same neighbourhoods again.
 
 On top of ``Rth`` the model defines (paper, end of Section 2):
 
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -102,27 +106,27 @@ class SessionModelConfig:
 PAPER_SESSION_MODEL = SessionModelConfig()
 
 
-#: What the pricing kernel reads a power or weight from: a sequence by
-#: core index, or a mapping holding at least the cores it prices.
-_ByIndex = Union[Sequence[float], Mapping[int, float]]
-
-
 class SessionThermalModel:
     """Evaluates Rth / TC / STC for candidate test sessions of one SoC.
 
     All lateral and vertical resistances, and the conductances the
-    pricing kernel reads, come from the floorplan's
+    pricing reads, come from the floorplan's
     :func:`~repro.thermal.resistances.resistance_table`, computed once
     per (floorplan, package) pair and shared through a bounded
     per-process memo with the full network builder; a model pairs them
     with its SoC's test powers, and evaluating a session is then pure
     parallel-resistance arithmetic.
 
-    Cores are priced by their floorplan index against a ``bytearray``
-    mask of the active cores.  :meth:`grow_session` and
-    :meth:`singleton_stcs` work in that index space directly (the
-    scheduler's phase B); the name-keyed evaluators convert names at
-    the boundary and go through the same kernel.
+    A core's ``Rth`` depends only on which of its neighbours are
+    active, so the model prices every core by its floorplan index
+    through one memo it owns: per core, the bitmask of its active
+    neighbours (bit *k* for the k-th entry of the table's
+    ``neighbour_conductances``) maps to its ``Rth``, computed on first
+    use.  The memo lives as long as the model: one solve, or one
+    same-network group of solves.  :meth:`grow_session` and
+    :meth:`singleton_stcs` work in index space directly (the
+    scheduler's phase B); the name-keyed evaluators convert names and
+    active sets to indices and masks at the boundary.
 
     Parameters
     ----------
@@ -144,11 +148,16 @@ class SessionThermalModel:
         # included), in the order parallel() would sum them.
         self._neighbours = self._table.neighbour_conductances
         self._fixed = self._table.escape_conductances(config.include_vertical)
+        # Per core index j: (i, bit) for each core i that has j as a
+        # neighbour; activating j sets bit in i's mask.
+        self._neighbour_bits = self._table.neighbour_bits
         #: Test power per core, by floorplan index.
         self._power = [core.test_power_w for core in soc]
         # Whether a neighbour's path survives, indexed by "is it active":
         # M3 grounds passive neighbours, M2 drops active ones.
         self._keeps_path = (config.ground_passive, not config.drop_active_active)
+        # Per core index: active-neighbour mask -> Rth (see _resistance).
+        self._rth: list[dict[int, float]] = [{} for _ in self._power]
 
     # -- introspection ----------------------------------------------------------
 
@@ -184,41 +193,37 @@ class SessionThermalModel:
 
     # -- the kernel -------------------------------------------------------------------
 
-    def _pricer(
-        self, power: _ByIndex, weights: _ByIndex
-    ) -> Callable[[int, bytearray], float]:
-        """The pricing kernel every evaluator goes through.
+    def _resistance(self, i: int, mask: int) -> float:
+        """Core *i*'s ``Rth`` under active-neighbour *mask*, memoised.
 
-        The returned function maps a core index *i* and an active mask
-        (``active[j]`` is 1 for the session's cores) to the unscaled STC
-        term ``P * Rth * P * W`` of core *i*, or ``inf`` when it has no
-        escape path.  ``Rth`` sums the surviving paths' conductances in
-        the order and with the operations :func:`~repro.units.parallel`
-        would, so it is the same float as the parallel combination of
-        those resistances; with unit power and weight the term is
-        ``Rth`` itself, as multiplying by 1.0 is exact.
+        On first use, sums the surviving paths' conductances (neighbours
+        in table order, then the fixed paths) in the order and with the
+        operations :func:`~repro.units.parallel` would, so ``Rth`` is
+        the same float as the parallel combination of those
+        resistances; ``inf`` when no path is left.
         """
-        neighbours = self._neighbours
-        fixed = self._fixed
+        memo = self._rth[i]
+        rth = memo.get(mask)
+        if rth is not None:
+            return rth
         keeps_path = self._keeps_path
-        inf = math.inf
-
-        def price(i: int, active: bytearray) -> float:
-            conductance = 0.0
-            for j, g in neighbours[i]:
-                if keeps_path[active[j]]:
-                    conductance += g
-            for g in fixed[i]:
+        conductance = 0.0
+        for k, (_, g) in enumerate(self._neighbours[i]):
+            if keeps_path[mask >> k & 1]:
                 conductance += g
-            if conductance == 0.0:
-                return inf
-            rth = 1.0 / conductance
-            if rth == inf:
-                return inf
-            p = power[i]
-            return p * rth * p * weights[i]
+        for g in self._fixed[i]:
+            conductance += g
+        rth = math.inf if conductance == 0.0 else 1.0 / conductance
+        memo[mask] = rth
+        return rth
 
-        return price
+    def _term(self, i: int, mask: int, weight: float) -> float:
+        """Core *i*'s unscaled STC term ``P * Rth * P * W`` (``inf`` if landlocked)."""
+        rth = self._resistance(i, mask)
+        if rth == math.inf:
+            return math.inf
+        p = self._power[i]
+        return p * rth * p * weight
 
     def _indices(self, cores: Sequence[str]) -> list[int]:
         """Floorplan indices of the named cores."""
@@ -229,11 +234,16 @@ class SessionThermalModel:
             unknown = next(core for core in cores if core not in floorplan)
             raise SchedulingError(f"unknown core {unknown!r}") from None
 
-    def _active_mask(self, indices: Iterable[int]) -> bytearray:
-        active = bytearray(len(self._power))
-        for i in indices:
-            active[i] = 1
-        return active
+    def _masks(self, indices: Iterable[int]) -> dict[int, int]:
+        """Each core's active-neighbour mask when *indices* are active.
+
+        Cores with no active neighbour are left out (their mask is 0).
+        """
+        masks: dict[int, int] = {}
+        for j in indices:
+            for i, bit in self._neighbour_bits[j]:
+                masks[i] = masks.get(i, 0) | bit
+        return masks
 
     # -- phase B in index space --------------------------------------------------------
 
@@ -248,19 +258,27 @@ class SessionThermalModel:
         admitted cores in admission order.
 
         Admitting a core rewires nothing but its direct neighbours'
-        escape paths, so a candidate is priced by recomputing only its
+        escape paths, so a candidate is priced by looking up only its
         own term and those of its already-admitted neighbours: O(degree)
         whatever the session's size.  That decision is exactly
         ``STC(session + [candidate]) <= stcl``: every untouched term
         passed the same check when its core was admitted, and dividing
         by the positive ``stc_scale`` preserves order, so the maximum
-        fits if and only if each term does.
+        fits if and only if each term does.  The pass keeps each core's
+        active-neighbour mask and updates only the admitted core's
+        neighbours.
         """
-        price = self._pricer(self._power, weights)
-        neighbours = self._neighbours
+        # The lookups below are _term inlined, calling out on a memo miss
+        # only: a call per lookup costs about a fifth of the pass.
+        rth = self._rth
+        resistance = self._resistance
+        power = self._power
+        neighbour_bits = self._neighbour_bits
         scale = self._config.stc_scale
-        active = bytearray(len(neighbours))
-        session = []
+        inf = math.inf
+        masks = [0] * len(power)
+        active = bytearray(len(power))
+        session: list[int] = []
         for core in candidates:
             if active[core]:
                 raise SchedulingError(
@@ -268,15 +286,36 @@ class SessionThermalModel:
                     f"the session"
                 )
             # The candidate's own Rth does not depend on whether it is active.
-            if not price(core, active) / scale <= stcl:
+            mask = masks[core]
+            r = rth[core].get(mask)
+            if r is None:
+                r = resistance(core, mask)
+            if r == inf:
+                term = inf
+            else:
+                p = power[core]
+                term = p * r * p * weights[core]
+            if not term / scale <= stcl:
                 continue
-            active[core] = 1
-            for neighbour, _ in neighbours[core]:
-                if active[neighbour] and not price(neighbour, active) / scale <= stcl:
-                    active[core] = 0
+            for neighbour, bit in neighbour_bits[core]:
+                if not active[neighbour]:
+                    continue
+                mask = masks[neighbour] | bit
+                r = rth[neighbour].get(mask)
+                if r is None:
+                    r = resistance(neighbour, mask)
+                if r == inf:
+                    term = inf
+                else:
+                    p = power[neighbour]
+                    term = p * r * p * weights[neighbour]
+                if not term / scale <= stcl:
                     break
             else:
+                active[core] = 1
                 session.append(core)
+                for neighbour, bit in neighbour_bits[core]:
+                    masks[neighbour] |= bit
         return session
 
     def singleton_stcs(
@@ -286,12 +325,11 @@ class SessionThermalModel:
 
         *weights*, one per core by index, default to 1.0.
         """
-        if weights is None:
-            weights = [1.0] * len(self._power)
-        price = self._pricer(self._power, weights)
         scale = self._config.stc_scale
-        alone = bytearray(len(self._power))
-        return [price(i, alone) / scale for i in cores]
+        return [
+            self._term(i, 0, 1.0 if weights is None else weights[i]) / scale
+            for i in cores
+        ]
 
     # -- the paper's quantities -----------------------------------------------------
 
@@ -317,9 +355,7 @@ class SessionThermalModel:
                 f"evaluated against"
             )
         (i,) = self._indices([core])
-        unit = {i: 1.0}
-        price = self._pricer(unit, unit)
-        return price(i, self._active_mask(self._indices(active_list)))
+        return self._resistance(i, self._masks(self._indices(active_list)).get(i, 0))
 
     def thermal_characteristic(self, core: str, active: Iterable[str]) -> float:
         """``TC_TS(core) = P(core) * Rth_TS(core)`` (kelvin-rise estimate)."""
@@ -334,13 +370,18 @@ class SessionThermalModel:
         """Each active core with its unscaled STC term, in *active* order."""
         names = list(active)
         indices = self._indices(names)
-        by_index = {
-            i: 1.0 if weights is None else weights.get(name, 1.0)
+        masks = self._masks(indices)
+        return (
+            (
+                name,
+                self._term(
+                    i,
+                    masks.get(i, 0),
+                    1.0 if weights is None else weights.get(name, 1.0),
+                ),
+            )
             for name, i in zip(names, indices)
-        }
-        price = self._pricer(self._power, by_index)
-        mask = self._active_mask(indices)
-        return ((name, price(i, mask)) for name, i in zip(names, indices))
+        )
 
     def session_thermal_characteristic(
         self,

@@ -162,10 +162,17 @@ class PowerProfile:
     def check_paper_multiplier_range(
         self, multiplier_range: tuple[float, float] = PAPER_MULTIPLIER_RANGE
     ) -> None:
-        """Verify all test multipliers lie within the paper's 1.5x-8x range."""
+        """Verify all test multipliers lie within the paper's 1.5x-8x range.
+
+        Tests ``functional * low <= test <= functional * high`` rather
+        than the recovered ratio ``test / functional``: rounding
+        multiplication is monotone, so a test power drawn as
+        ``functional * multiplier`` with the multiplier in the range
+        passes even when the range is a single value.
+        """
         low, high = multiplier_range
         for core in self:
-            if not low <= core.test_multiplier <= high:
+            if not core.functional_w * low <= core.test_w <= core.functional_w * high:
                 raise PowerModelError(
                     f"core {core.name!r} has test multiplier "
                     f"{core.test_multiplier:.3f}, outside [{low}, {high}]"

@@ -243,6 +243,21 @@ class ResistanceTable:
             tuple(entries[start:stop]) for start, stop in zip([0] + stops, stops)
         )
 
+    @cached_property
+    def neighbour_bits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per block *j*, each ``(i, 1 << k)`` where *j* is block *i*'s k-th neighbour.
+
+        Bit *k* of block *i*'s active-neighbour mask stands for the k-th
+        entry of ``neighbour_conductances[i]``, so activating block *j*
+        sets these bits in its neighbours' masks.  Pairs come in order
+        of *i*, then *k*.
+        """
+        bits: list[list[tuple[int, int]]] = [[] for _ in range(len(self.vertical))]
+        for i, entries in enumerate(self.neighbour_conductances):
+            for k, (j, _) in enumerate(entries):
+                bits[j].append((i, 1 << k))
+        return tuple(tuple(pairs) for pairs in bits)
+
     def escape_conductances(
         self, include_vertical: bool
     ) -> tuple[tuple[float, ...], ...]:

@@ -33,6 +33,7 @@ PROMOTED = [
     "mypy-repro.thermal.builder",
     "mypy-repro.thermal.rc_network",
     "mypy-repro.thermal.resistances",
+    "mypy-repro.core.session_model",
 ]
 
 
@@ -100,6 +101,8 @@ class TestMypyRun:
                 "repro.thermal.rc_network",
                 "-m",
                 "repro.thermal.resistances",
+                "-m",
+                "repro.core.session_model",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"

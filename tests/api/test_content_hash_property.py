@@ -19,7 +19,11 @@ pickle-then-hash path the service's process workers exercise).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import hashlib
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +191,57 @@ class TestHashIsContentOnly:
             stc_scale=request_.stc_scale,
         )
         assert different.content_hash() != request_.content_hash()
+
+
+def canonical_digest(request: ScheduleRequest) -> str:
+    """The digest ``content_hash()`` is specified to return, computed afresh."""
+    payload = request_to_dict(request)
+    del payload["schema_version"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestHashIsComputedOnce:
+    """A request keeps its digest; copies and replacements stay correct."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests(), st.booleans())
+    def test_copies_hash_like_the_original(self, request_, hash_first):
+        if hash_first:
+            request_.content_hash()
+        copies = [
+            pickle.loads(pickle.dumps(request_)),
+            copy.deepcopy(request_),
+            copy.copy(request_),
+        ]
+        expected = canonical_digest(request_)
+        assert request_.content_hash() == expected
+        for clone in copies:
+            assert clone.content_hash() == expected
+            assert clone == request_
+            assert hash(clone) == hash(request_)
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests())
+    def test_replace_hashes_the_new_content(self, request_):
+        request_.content_hash()
+        flipped = dataclasses.replace(
+            request_, include_vertical=not request_.include_vertical
+        )
+        assert flipped.content_hash() == canonical_digest(flipped)
+        assert flipped.content_hash() != request_.content_hash()
+        assert dataclasses.replace(request_).content_hash() == request_.content_hash()
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests())
+    def test_equality_and_hash_ignore_the_kept_digest(self, request_):
+        twin = request_from_dict(request_to_dict(request_))
+        before = hash(request_)
+        request_.content_hash()
+        assert request_ == twin
+        assert hash(request_) == hash(twin) == before
+        assert repr(request_) == repr(twin)
+        assert dataclasses.asdict(request_) == dataclasses.asdict(twin)
 
 
 # -- cross-process stability -----------------------------------------------------------

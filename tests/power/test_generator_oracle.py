@@ -26,7 +26,17 @@ from .generator_reference import reference_powers
 configs = st.builds(
     PowerGeneratorConfig,
     multiplier_range=st.sampled_from(
-        [(1.5, 8.0), (2.0, 2.0), (1.5, 3.0), (2, 8), (3, 3), (2, 7.5)]
+        [
+            (1.5, 8.0),
+            (2.0, 2.0),
+            (1.5, 3.0),
+            (2, 8),
+            (3, 3),
+            (2, 7.5),
+            (1.5, 1.5),
+            (3.0, 3.0),
+            (7.0, 7.0),
+        ]
     ),
     density_range=st.sampled_from(
         [

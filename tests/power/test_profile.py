@@ -8,6 +8,8 @@ import pytest
 
 from repro.errors import PowerModelError
 from repro.floorplan.generator import grid_floorplan
+from repro.floorplan.library import alpha15, hypothetical7
+from repro.power.generator import PowerGeneratorConfig, generate_power_profile
 from repro.power.profile import CorePower, PowerProfile
 
 
@@ -112,6 +114,27 @@ class TestMultiplierRange:
         profile = PowerProfile([CorePower("a", 1.0, 10.0)])  # 10x
         with pytest.raises(PowerModelError, match="multiplier"):
             profile.check_paper_multiplier_range()
+
+    @pytest.mark.parametrize(
+        "plan",
+        [alpha15(), hypothetical7(), grid_floorplan(8, 8)],
+        ids=lambda plan: plan.name,
+    )
+    @pytest.mark.parametrize("value", [1.5, 2.0, 3.0, 7.0])
+    def test_degenerate_range_accepts_its_own_draws(self, plan, value):
+        config = PowerGeneratorConfig(multiplier_range=(value, value))
+        profile = generate_power_profile(plan, config)
+        profile.check_paper_multiplier_range((value, value))
+        assert all(core.test_w == core.functional_w * value for core in profile)
+
+    def test_one_ulp_outside_a_degenerate_range_is_refused(self):
+        test_w = math.nextafter(0.1 * 3.0, math.inf)
+        profile = PowerProfile([CorePower("a", 0.1, test_w)])
+        with pytest.raises(
+            PowerModelError,
+            match=r"core 'a' has test multiplier 3\.000, outside \[3\.0, 3\.0\]",
+        ):
+            profile.check_paper_multiplier_range((3.0, 3.0))
 
 
 class TestConstruction:

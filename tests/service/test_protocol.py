@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.api import ScheduleRequest
+import repro.api.request as request_module
+from repro.api import ScheduleRequest, Workbench
 from repro.engine import ScenarioSpec
 from repro.errors import ProtocolError
 from repro.service import (
@@ -15,6 +17,7 @@ from repro.service import (
     error_frame,
     parse_submit_frame,
     ping_frame,
+    report_frame,
     stats_frame,
     submit_frame,
 )
@@ -138,3 +141,25 @@ class TestErrorFrames:
         assert decoded["error_type"] == "SchedulingError"
         assert decoded["request_hash"] == "abc123"
         assert decoded["id"] == "c9"
+
+
+class TestReportFrameHashing:
+    def test_framing_a_fresh_report_hashes_its_request_once(self, monkeypatch):
+        solved = Workbench().solve(REQUEST)
+        report = dataclasses.replace(solved, request=dataclasses.replace(REQUEST))
+        calls = []
+        original = request_module.request_to_dict
+
+        def counting(request):
+            calls.append(request)
+            return original(request)
+
+        monkeypatch.setattr(request_module, "request_to_dict", counting)
+        frame = report_frame("r1", report)
+        # One call embeds the request in the report, one hashes it.
+        assert len(calls) == 2
+        calls.clear()
+        assert report_frame("r2", report)["report"] == frame["report"]
+        assert len(calls) == 1
+        assert frame["request_hash"] == frame["report"]["request_hash"]
+        assert frame["request_hash"] == REQUEST.content_hash()
