@@ -60,7 +60,12 @@ from ..soc.system import SocUnderTest
 from ..spec_utils import is_finite_number, is_integer, is_positive_number
 from ..thermal.simulator import ThermalSimulator
 from .session import TestSchedule, TestSession
-from .session_model import PAPER_SESSION_MODEL, SessionModelConfig, SessionThermalModel
+from .session_model import (
+    PAPER_SESSION_MODEL,
+    GrowthPass,
+    SessionModelConfig,
+    SessionThermalModel,
+)
 
 #: The paper's weight escalation factor (Algorithm 1, line 20).
 PAPER_WEIGHT_FACTOR = 1.1
@@ -331,7 +336,7 @@ class ThermalAwareScheduler:
         )
 
     def _session_temperatures(
-        self, power_map: dict[str, float], duration_s: float, cores: list[str]
+        self, power_map: dict[str, float], duration_s: float, cores: Sequence[str]
     ) -> np.ndarray:
         """Per-core validation temperatures off the reduced path.
 
@@ -406,7 +411,13 @@ class ThermalAwareScheduler:
 
         Phase B runs on core indices in floorplan order: pending cores,
         weights and growth passes are index lists, and names appear
-        only in what the result records.
+        only in what the result records.  The session model's ``Rth``
+        memo lives on its resistance table, so it outlives the run.
+        After a grown session is discarded,
+        :meth:`~repro.core.session_model.SessionThermalModel.repeats`
+        decides whether the retry's pass would admit the same cores; if
+        so the pass is skipped and the same session is validated (and
+        counted) again, so the result is the one every pass gives.
 
         Parameters
         ----------
@@ -458,52 +469,57 @@ class ThermalAwareScheduler:
         effort_s = phase_a_effort if config.count_phase_a_effort else 0.0
         forced_singletons = 0
         iteration = 0
+        model = self._model
+        # The last growth pass, while the next one would admit the same cores.
+        grown: GrowthPass | None = None
 
         while pending:
             iteration += 1
-            # Lines 9-15: one growth pass over the pending cores.
-            session: Sequence[int] = self._model.grow_session(pending, stcl, weights)
-            if not session:
-                in_input_order = sorted(pending)
-                if config.on_stuck == "error":
-                    raise ScheduleInfeasibleError(
-                        f"no remaining core fits an empty session at STCL={stcl:g} "
-                        f"(pending: {[names[i] for i in in_input_order]}); weights "
-                        f"may have escalated past the limit"
-                    )
-                stcs = self._model.singleton_stcs(in_input_order, weights)
-                session = [in_input_order[stcs.index(min(stcs))]]
-                forced_singletons += 1
+            if grown is None:
+                # Lines 9-15: one growth pass over the pending cores.
+                grown = model.grow(pending, stcl, weights)
+                session = grown.cores
+                if not session:
+                    in_input_order = sorted(pending)
+                    if config.on_stuck == "error":
+                        raise ScheduleInfeasibleError(
+                            f"no remaining core fits an empty session at "
+                            f"STCL={stcl:g} (pending: "
+                            f"{[names[i] for i in in_input_order]}); weights "
+                            f"may have escalated past the limit"
+                        )
+                    stcs = model.singleton_stcs(in_input_order, weights)
+                    session = [in_input_order[stcs.index(min(stcs))]]
+                    forced_singletons += 1
+                session_cores = tuple(names[i] for i in session)
+                duration = max(test_time[i] for i in session)
+                if reduced:
+                    session_columns = [columns[i] for i in session]
+                    session_power = [power[i] for i in session]
+                else:
+                    power_map = self._soc.session_power_map(session_cores)
+            # Otherwise this is the session just discarded, grown again.
 
-            session_cores = [names[i] for i in session]
-            duration = max(test_time[i] for i in session)
             if reduced:
                 temps = simulator.block_steady_temperatures_c(
-                    [columns[i] for i in session], [power[i] for i in session]
+                    session_columns, session_power
                 )
             else:
-                temps = self._session_temperatures(
-                    self._soc.session_power_map(session_cores),
-                    duration,
-                    session_cores,
-                )
+                temps = self._session_temperatures(power_map, duration, session_cores)
             effort_s += duration
 
             # Vectorised violator detection: one comparison against TL
             # over the whole session instead of a per-core Python loop.
-            violator_mask = temps >= tl_c
-            if violator_mask.any():
+            raised = (temps >= tl_c).nonzero()[0].tolist()
+            if raised:
                 # Lines 19-22: discard, escalate, retry.
-                violators = []
-                for i, bad in zip(session, violator_mask.tolist()):
-                    if bad:
-                        weights[i] = weights[i] * config.weight_factor
-                        violators.append(names[i])
+                for k in raised:
+                    weights[session[k]] = weights[session[k]] * config.weight_factor
                 discarded.append(
                     DiscardedSession(
-                        cores=tuple(session_cores),
+                        cores=session_cores,
                         duration_s=duration,
-                        violators=tuple(violators),
+                        violators=tuple(session_cores[k] for k in raised),
                         max_temperature_c=float(temps.max()),
                         iteration=iteration,
                     )
@@ -514,16 +530,23 @@ class ThermalAwareScheduler:
                         f"TL={tl_c:g}, STCL={stcl:g}; the weight feedback is not "
                         f"converging (weight_factor={config.weight_factor:g})"
                     )
+                # Only the violators' weights rose: until one of them
+                # prices past STCL, the retry's growth pass would admit
+                # the same cores, so the loop skips it and validates the
+                # same session again.  A forced singleton was never grown.
+                if not (grown.cores and model.repeats(grown, raised, stcl, weights)):
+                    grown = None
                 continue
 
             # Lines 24-27: commit the session.
             committed.append(
-                TestSession(
-                    cores=tuple(session_cores), duration_s=duration
-                ).with_temperatures(dict(zip(session_cores, temps.tolist())))
+                TestSession(cores=session_cores, duration_s=duration).with_temperatures(
+                    dict(zip(session_cores, temps.tolist()))
+                )
             )
             retained = set(session)
             pending = [i for i in pending if i not in retained]
+            grown = None
 
         schedule = TestSchedule(committed, self._soc)
         return ScheduleResult(

@@ -21,10 +21,12 @@ independent star per active core, and the equivalent resistance is a
 plain parallel combination — the paper's Figure 4.  That is what makes
 the model "low-complexity": evaluating a candidate session is O(degree)
 arithmetic instead of a linear solve.  It also means a core's ``Rth``
-depends only on which of its own neighbours are active, so a model
-computes each (core, active-neighbour bitmask) pair's ``Rth`` once and
-looks it up afterwards: Algorithm 1 retries a growth pass after every
-discarded session, and the retries meet the same neighbourhoods again.
+depends only on which of its own neighbours are active, so each
+(core, active-neighbour bitmask) pair's ``Rth`` is computed once per
+floorplan, package and model variant and looked up afterwards:
+Algorithm 1 retries a growth pass after every discarded session, and
+the retries, like later requests on the same network, meet the same
+neighbourhoods again.
 
 On top of ``Rth`` the model defines (paper, end of Section 2):
 
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,6 +108,26 @@ class SessionModelConfig:
 PAPER_SESSION_MODEL = SessionModelConfig()
 
 
+class GrowthPass(NamedTuple):
+    """One growth pass (:meth:`SessionThermalModel.grow`) and the masks it read.
+
+    Attributes
+    ----------
+    cores:
+        The admitted cores' floorplan indices, in admission order.
+    admitted_at:
+        Each admitted core's active-neighbour mask when it was
+        admitted, aligned with *cores*.
+    masks:
+        Every core's active-neighbour mask at the end of the pass, by
+        floorplan index.
+    """
+
+    cores: list[int]
+    admitted_at: list[int]
+    masks: list[int]
+
+
 class SessionThermalModel:
     """Evaluates Rth / TC / STC for candidate test sessions of one SoC.
 
@@ -119,14 +141,18 @@ class SessionThermalModel:
 
     A core's ``Rth`` depends only on which of its neighbours are
     active, so the model prices every core by its floorplan index
-    through one memo it owns: per core, the bitmask of its active
-    neighbours (bit *k* for the k-th entry of the table's
+    through one memo: per core, the bitmask of its active neighbours
+    (bit *k* for the k-th entry of the table's
     ``neighbour_conductances``) maps to its ``Rth``, computed on first
-    use.  The memo lives as long as the model: one solve, or one
-    same-network group of solves.  :meth:`grow_session` and
-    :meth:`singleton_stcs` work in index space directly (the
-    scheduler's phase B); the name-keyed evaluators convert names and
-    active sets to indices and masks at the boundary.
+    use.  ``Rth`` reads neither powers, weights nor ``stc_scale``, so
+    the memo belongs to the resistance table
+    (:meth:`~repro.thermal.resistances.ResistanceTable.rth_memo`): every
+    model of the same M2/M3/vertical variant on the same floorplan and
+    package shares it, and it lives as long as its table, which the
+    table cache bounds.  :meth:`grow` and :meth:`singleton_stcs` work
+    in index space directly (the scheduler's phase B); the name-keyed
+    evaluators convert names and active sets to indices and masks at
+    the boundary.
 
     Parameters
     ----------
@@ -156,8 +182,11 @@ class SessionThermalModel:
         # Whether a neighbour's path survives, indexed by "is it active":
         # M3 grounds passive neighbours, M2 drops active ones.
         self._keeps_path = (config.ground_passive, not config.drop_active_active)
-        # Per core index: active-neighbour mask -> Rth (see _resistance).
-        self._rth: list[dict[int, float]] = [{} for _ in self._power]
+        # Per core index: active-neighbour mask -> Rth (see _resistance),
+        # shared with every model of this variant on the same table.
+        self._rth = self._table.rth_memo(
+            config.include_vertical, config.ground_passive, config.drop_active_active
+        )
 
     # -- introspection ----------------------------------------------------------
 
@@ -200,7 +229,9 @@ class SessionThermalModel:
         in table order, then the fixed paths) in the order and with the
         operations :func:`~repro.units.parallel` would, so ``Rth`` is
         the same float as the parallel combination of those
-        resistances; ``inf`` when no path is left.
+        resistances; ``inf`` when no path is left.  It reads only the
+        table and the variant the memo is keyed by, so whichever model
+        fills an entry first, every model reads the same float.
         """
         memo = self._rth[i]
         rth = memo.get(mask)
@@ -255,7 +286,14 @@ class SessionThermalModel:
         Scans *candidates* (floorplan indices) once, in order, and
         admits each core whose addition keeps the session's STC within
         *stcl* under *weights* (one per core, by index); returns the
-        admitted cores in admission order.
+        admitted cores in admission order.  :meth:`grow` runs the pass.
+        """
+        return self.grow(candidates, stcl, weights).cores
+
+    def grow(
+        self, candidates: Iterable[int], stcl: float, weights: Sequence[float]
+    ) -> GrowthPass:
+        """:meth:`grow_session`, with the masks its cores were priced at.
 
         Admitting a core rewires nothing but its direct neighbours'
         escape paths, so a candidate is priced by looking up only its
@@ -265,8 +303,9 @@ class SessionThermalModel:
         passed the same check when its core was admitted, and dividing
         by the positive ``stc_scale`` preserves order, so the maximum
         fits if and only if each term does.  The pass keeps each core's
-        active-neighbour mask and updates only the admitted core's
-        neighbours.
+        active-neighbour mask, updates only the admitted core's
+        neighbours, and records each admitted core's own mask, which
+        :meth:`repeats` reads.
         """
         # The lookups below are _term inlined, calling out on a memo miss
         # only: a call per lookup costs about a fifth of the pass.
@@ -279,6 +318,7 @@ class SessionThermalModel:
         masks = [0] * len(power)
         active = bytearray(len(power))
         session: list[int] = []
+        admitted_at: list[int] = []
         for core in candidates:
             if active[core]:
                 raise SchedulingError(
@@ -286,7 +326,7 @@ class SessionThermalModel:
                     f"the session"
                 )
             # The candidate's own Rth does not depend on whether it is active.
-            mask = masks[core]
+            own = mask = masks[core]
             r = rth[core].get(mask)
             if r is None:
                 r = resistance(core, mask)
@@ -314,9 +354,56 @@ class SessionThermalModel:
             else:
                 active[core] = 1
                 session.append(core)
+                admitted_at.append(own)
                 for neighbour, bit in neighbour_bits[core]:
                     masks[neighbour] |= bit
-        return session
+        return GrowthPass(session, admitted_at, masks)
+
+    def repeats(
+        self,
+        grown: GrowthPass,
+        raised: Iterable[int],
+        stcl: float,
+        weights: Sequence[float],
+    ) -> bool:
+        """Whether the pass that made *grown* admits the same cores under *weights*.
+
+        *weights* may differ from the pass's weights only at the
+        admitted cores whose positions in ``grown.cores`` are *raised*,
+        and only upwards; the candidates and *stcl* are the pass's.
+        O(len(raised)) lookups.
+
+        The pass reads a core's weight only to price that core's term:
+        as a candidate, at its own mask, and as an admitted neighbour of
+        each later candidate, at its mask plus that candidate's bit.  A
+        raised weight only raises terms, so every rejection stands, and
+        the pass admits the same cores exactly when each raised core's
+        term still fits at every mask it was priced at in a check that
+        admitted a core.  Those masks grow from the core's admission
+        mask to its final mask one admitted neighbour at a time, and
+        its ``Rth`` is monotone along that chain in every M2/M3 setting
+        (rising when M2 drops active neighbours' paths and M3 keeps
+        passive ones, falling when only active neighbours keep theirs,
+        flat otherwise), so the two ends bound the rest.
+        """
+        # _term inlined, as in grow: the pass has filled both entries.
+        rth = self._rth
+        power = self._power
+        scale = self._config.stc_scale
+        inf = math.inf
+        cores, admitted_at, masks = grown
+        for k in raised:
+            core = cores[k]
+            p = power[core]
+            weight = weights[core]
+            for mask in (admitted_at[k], masks[core]):
+                r = rth[core].get(mask)
+                if r is None:
+                    r = self._resistance(core, mask)
+                term = inf if r == inf else p * r * p * weight
+                if not term / scale <= stcl:
+                    return False
+        return True
 
     def singleton_stcs(
         self, cores: Iterable[int], weights: Sequence[float] | None = None

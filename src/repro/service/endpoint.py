@@ -1,10 +1,14 @@
 """The JSONL-over-TCP endpoint that ``repro serve`` and ``repro route`` share.
 
-:class:`FrameEndpoint` owns everything about serving the
-:mod:`~repro.service.protocol` frame format that does not depend on who
-answers the frames.  :class:`~repro.service.server.ScheduleServer` and
+:class:`StreamEndpoint` owns the stream server itself: the bind, the
+bound port, start, stop and ``async with``.  :class:`FrameEndpoint`
+adds everything about serving the :mod:`~repro.service.protocol` frame
+format that does not depend on who answers the frames.
+:class:`~repro.service.server.ScheduleServer` and
 :class:`~repro.service.fleet.router.FleetRouter` subclass it and only
-answer decoded frames, so both treat the wire alike by construction.
+answer decoded frames, so both treat the wire alike by construction;
+:class:`~repro.service.fleet.faults.ChaosProxy` subclasses the stream
+endpoint and forwards raw lines instead.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .protocol import (
     error_frame,
 )
 
-_Endpoint = TypeVar("_Endpoint", bound="FrameEndpoint")
+_Endpoint = TypeVar("_Endpoint", bound="StreamEndpoint")
 
 
 class FrameConnection:
@@ -71,12 +75,13 @@ class FrameConnection:
             pass
 
 
-class FrameEndpoint:
-    """An asyncio stream server speaking the JSONL frame protocol.
+class StreamEndpoint:
+    """An asyncio stream server on one bind address.
 
-    It binds, reads and decodes frames and refuses server-side frame
-    types; an oversized line or a reset drops only its connection.
-    Subclasses answer the decoded frames in :meth:`_handle_frame`.
+    It binds on :meth:`start` and closes on :meth:`stop` (or around
+    ``async with``); every accepted connection goes to
+    :meth:`_handle_connection`, whose reader takes lines up to
+    ``MAX_FRAME_BYTES``, so any frame of the protocol fits.
 
     Parameters
     ----------
@@ -133,6 +138,21 @@ class FrameEndpoint:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one accepted connection until it ends."""
+        raise NotImplementedError
+
+
+class FrameEndpoint(StreamEndpoint):
+    """A stream endpoint speaking the JSONL frame protocol.
+
+    It reads and decodes frames and refuses server-side frame types; an
+    oversized line or a reset drops only its connection.  Subclasses
+    answer the decoded frames in :meth:`_handle_frame`.
+    """
 
     async def _handle_frame(
         self, frame: dict[str, Any], connection: FrameConnection

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from ...errors import ServiceError
+from ..endpoint import StreamEndpoint
+from ..protocol import MAX_FRAME_BYTES
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,12 @@ class FaultPlan:
             raise ServiceError(f"delay_s must be >= 0, got {self.delay_s!r}")
 
 
-class ChaosProxy:
+class ChaosProxy(StreamEndpoint):
     """A retargetable TCP proxy that injects :class:`FaultPlan` faults.
+
+    The front port is a :class:`~repro.service.endpoint.StreamEndpoint`
+    (bind, :attr:`host`/:attr:`port`, start, stop, ``async with``);
+    stopping it also severs every live pipe.
 
     Parameters
     ----------
@@ -89,14 +95,12 @@ class ChaosProxy:
         port: int = 0,
         sleep: Callable[[float], Awaitable[Any]] | None = None,
     ) -> None:
+        super().__init__(host, port)
         self._backend_host = backend_host
         self._backend_port = backend_port
         self.plan = plan if plan is not None else FaultPlan()
-        self._host = host
-        self._requested_port = port
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._rng = random.Random(self.plan.seed)
-        self._server: asyncio.base_events.Server | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._pumps: set[asyncio.Task] = set()
         # Observed fault tallies, for test assertions.
@@ -107,47 +111,16 @@ class ChaosProxy:
         self.connections = 0
 
     @property
-    def port(self) -> int:
-        """The front port clients dial (after :meth:`start`)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def host(self) -> str:
-        """The front bind host."""
-        return self._host
-
-    @property
     def backend(self) -> tuple[str, int]:
         """Where new connections currently forward to."""
         return self._backend_host, self._backend_port
 
-    async def start(self) -> None:
-        """Bind the front port and start proxying."""
-        if self._server is not None:
-            raise ServiceError("chaos proxy is already started")
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._requested_port
-        )
-
     async def stop(self) -> None:
-        """Sever everything and close the front port."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        """Close the front port, then sever every live pipe."""
+        await super().stop()
         self.sever()
         if self._pumps:
             await asyncio.gather(*tuple(self._pumps), return_exceptions=True)
-
-    async def __aenter__(self) -> "ChaosProxy":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
 
     def retarget(self, host: str, port: int) -> None:
         """Point *new* connections at a different backend.
@@ -172,7 +145,7 @@ class ChaosProxy:
 
     # -- internals ---------------------------------------------------------------------
 
-    async def _handle(
+    async def _handle_connection(
         self, client_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
@@ -191,7 +164,7 @@ class ChaosProxy:
             return
         try:
             backend_reader, backend_writer = await asyncio.open_connection(
-                self._backend_host, self._backend_port
+                self._backend_host, self._backend_port, limit=MAX_FRAME_BYTES
             )
         except OSError:
             self._writers.discard(client_writer)

@@ -33,7 +33,7 @@ builder and the session model both read the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -197,7 +197,8 @@ def shared_path_resistance(package: PackageConfig) -> float:
 
 
 #: (adjacency map, package) pairs whose resistance tables each process
-#: keeps; an entry is a few floats per block and interface.
+#: keeps; an entry is a few floats per block and interface, plus the
+#: session models' ``Rth`` memos (:meth:`ResistanceTable.rth_memo`).
 RESISTANCE_TABLE_SIZE = 64
 
 
@@ -214,6 +215,11 @@ class ResistanceTable:
     off the die edge) and ``vertical[i]`` its die + TIM + spreading
     stack; ``shared_tail`` is the spreader/sink/convection path every
     block's vertical stack continues into.
+
+    The table also holds the session models' ``Rth`` memos, one per
+    model variant (:meth:`rth_memo`), so they live exactly as long as
+    the table: until :func:`resistance_table` evicts it and the last
+    model or network built from it is gone.
     """
 
     adjacency: AdjacencyMap
@@ -222,6 +228,9 @@ class ResistanceTable:
     edge: np.ndarray
     vertical: np.ndarray
     shared_tail: float
+    _rth_memos: dict[tuple[bool, bool, bool], list[dict[int, float]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def neighbour_conductances(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -278,6 +287,26 @@ class ResistanceTable:
             for r in (self.vertical + self.shared_tail).tolist()
         ]
         return tuple(edge), tuple(e + v for e, v in zip(edge, vertical))
+
+    def rth_memo(
+        self, include_vertical: bool, ground_passive: bool, drop_active_active: bool
+    ) -> list[dict[int, float]]:
+        """Per block, the session model's ``Rth`` by active-neighbour mask.
+
+        One memo per session-model variant, shared by every
+        :class:`~repro.core.session_model.SessionThermalModel` of that
+        variant on this table.  A block's ``Rth`` is a function of this
+        table, the variant and the mask alone (not of powers, weights
+        or ``stc_scale``), so every model fills an entry with the same
+        float and concurrent fills need no lock.  Block *i*'s memo holds
+        at most ``2 ** len(neighbour_conductances[i])`` entries.
+        """
+        key = (include_vertical, ground_passive, drop_active_active)
+        memo = self._rth_memos.get(key)
+        if memo is None:
+            # setdefault is atomic: threads racing here share one memo.
+            memo = self._rth_memos.setdefault(key, [{} for _ in self.vertical])
+        return memo
 
 
 @lru_cache(maxsize=RESISTANCE_TABLE_SIZE)

@@ -34,6 +34,7 @@ PROMOTED = [
     "mypy-repro.thermal.rc_network",
     "mypy-repro.thermal.resistances",
     "mypy-repro.core.session_model",
+    "mypy-repro.core.scheduler",
 ]
 
 
@@ -103,6 +104,8 @@ class TestMypyRun:
                 "repro.thermal.resistances",
                 "-m",
                 "repro.core.session_model",
+                "-m",
+                "repro.core.scheduler",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"

@@ -1,16 +1,19 @@
 """Memoised phase-B pricing against the bytearray kernel it replaced.
 
 :class:`SessionThermalModel` looks each core's ``Rth`` up by the bitmask
-of its active neighbours, filling the memo on first use;
+of its active neighbours, in a memo that its resistance table shares
+among the models of one variant and fills on first use;
 :class:`.pricing_reference.ReferencePricing` prices every core from
 scratch against a ``bytearray`` mask of the active cores.  Growth
 passes (with weights raised between passes, as discards raise them),
 singleton STCs and the name-keyed evaluators must agree bit for bit,
-errors included, on every model variant.
+errors included, on every model variant, whichever model filled the
+memo.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -23,6 +26,7 @@ from repro.floorplan.generator import slicing_floorplan
 from repro.power.generator import PowerGeneratorConfig, generate_power_profile
 from repro.soc.library import alpha15_soc, hypothetical7_soc, worked_example6_soc
 from repro.soc.system import SocUnderTest
+from repro.thermal.resistances import resistance_table
 
 from ..floorplan.floorplan_strategies import die_sides, grid_plans
 from .pricing_reference import ReferencePricing
@@ -188,29 +192,79 @@ def test_an_admitted_duplicate_raises_the_same_error():
     assert grow_both(model, reference, [3, 3], 0.0, weights) == []
 
 
-def test_models_on_one_floorplan_never_share_memo_entries():
-    plan = slicing_floorplan(24, seed=5)
-    soc_a, soc_b = (
+#: (include_vertical, ground_passive, drop_active_active): the memo key.
+VARIANTS = list(itertools.product([False, True], repeat=3))
+
+
+def memo_rth(reference, i, mask):
+    """Core *i*'s Rth under *mask*, priced from scratch by the reference."""
+    names = reference._soc.core_names
+    neighbours = reference._neighbours[i]
+    active = [names[i]] + [
+        names[j] for k, (j, _) in enumerate(neighbours) if mask >> k & 1
+    ]
+    return reference.equivalent_resistance(names[i], active)
+
+
+@ORACLE
+@given(data=st.data(), plan=st.one_of(slicing_plans, grid_plans))
+def test_models_of_one_variant_share_one_memo_whoever_fills_it(data, plan):
+    resistance_table.cache_clear()
+    socs = [
         SocUnderTest.from_profile(
             plan, generate_power_profile(plan, PowerGeneratorConfig(seed=seed))
         )
         for seed in (1, 2)
-    )
-    config = SessionModelConfig(drop_active_active=False)
-    model_a = SessionThermalModel(soc_a, config)
-    model_b = SessionThermalModel(soc_b, config)
-    model_c = SessionThermalModel(soc_a, SessionModelConfig())
-    memos = [model._rth for model in (model_a, model_b, model_c)]
-    assert len({id(memo) for memo in memos}) == 3
-    assert len({id(entry) for memo in memos for entry in memo}) == 3 * len(plan)
-    order = list(range(len(plan)))
-    limit = max(ReferencePricing(model_a).singleton_stcs(order)) * 2.0
-    session = model_a.grow_session(order, limit, [1.0] * len(plan))
-    assert any(model_a._rth) and not any(model_b._rth) and not any(model_c._rth)
-    for model in (model_b, model_c):
-        assert model.grow_session(order, limit, [1.0] * len(plan)) == (
-            ReferencePricing(model).grow_session(order, limit, [1.0] * len(plan))
+    ]
+    models = [
+        SessionThermalModel(
+            soc,
+            SessionModelConfig(
+                include_vertical=vertical,
+                ground_passive=ground,
+                drop_active_active=drop,
+                stc_scale=scale,
+            ),
         )
-    assert session == ReferencePricing(model_a).grow_session(
-        order, limit, [1.0] * len(plan)
-    )
+        for soc in socs
+        for vertical, ground, drop in VARIANTS
+        for scale in (1.0, 210.0)
+    ]
+    table = resistance_table(socs[0].adjacency, socs[0].package)
+    memos = {variant: table.rth_memo(*variant) for variant in VARIANTS}
+    for model in models:
+        config = model.config
+        variant = (
+            config.include_vertical,
+            config.ground_passive,
+            config.drop_active_active,
+        )
+        assert model._rth is memos[variant]
+    # Every variant has its own memo, down to each core's dict.
+    entries = {id(entry) for memo in memos.values() for entry in memo}
+    assert len(entries) == len(VARIANTS) * len(plan)
+    assert not any(any(memo) for memo in memos.values())
+
+    # Whichever model fills an entry first, every model reads the same float.
+    n = len(plan)
+    order = data.draw(st.permutations(models), label="fill order")
+    candidates = data.draw(st.permutations(range(n)), label="candidates")
+    for model in order:
+        reference = ReferencePricing(model)
+        singles = reference.singleton_stcs(range(n))
+        assert hexed(model.singleton_stcs(range(n))) == hexed(singles)
+        limits = sorted(s for s in singles if math.isfinite(s)) or [1.0]
+        weights = [1.0] * n
+        for factor in (1.0, 4.0, 50.0):
+            stcl = limits[len(limits) // 2] * factor
+            session = grow_both(model, reference, candidates, stcl, weights)
+            for i in session[: len(session) // 2]:
+                weights[i] = weights[i] * 1.1
+            assert hexed(model.singleton_stcs(candidates, weights)) == hexed(
+                reference.singleton_stcs(candidates, weights)
+            )
+    for model in models[: len(VARIANTS) * 2 : 2]:
+        reference = ReferencePricing(model)
+        for i, memo in enumerate(model._rth):
+            for mask, rth in memo.items():
+                assert hexed([rth]) == hexed([memo_rth(reference, i, mask)])
