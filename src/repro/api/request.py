@@ -236,8 +236,12 @@ class SolveReport:
     elapsed_s:
         Wall-clock time of the solve (context build excluded).
     steady_solves:
-        Steady-state linear-system solves the whole request issued
-        (limit resolution included).
+        Steady-state queries the whole request made of the simulator:
+        one per power map asked about, limit resolution included (one
+        per core for a ``tl_headroom``).  For the thermal-aware solver
+        that is one per core in phase A and one per phase-B validation,
+        computed or repeated (see
+        :attr:`~repro.core.scheduler.ScheduleResult.steady_solves`).
     cache_hit:
         Whether the thermal model came out of a shared cache.
     cached:
@@ -383,11 +387,14 @@ def report_to_dict(report: SolveReport) -> dict[str, Any]:
 
 
 def report_from_dict(data: dict[str, Any]) -> SolveReport:
-    """Load a solve report back, rebuilding its SoC from the request.
+    """Load a solve report back onto the SoC its request describes.
 
-    The schedule is revalidated against a freshly built SoC (the same
-    guarantee the batch archive loader gives), so a corrupted or
-    hand-edited record cannot smuggle in an impossible schedule.
+    The schedule is revalidated against that SoC (the same guarantee
+    the batch archive loader gives), so a corrupted or hand-edited
+    record cannot smuggle in an impossible schedule.  The SoC is the
+    spec's shared build (:meth:`ScenarioSpec.build_soc`), equal to a
+    fresh one, so decoding a report on a spec this process has seen
+    builds nothing.
     """
     version = data.get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:

@@ -27,6 +27,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -34,7 +35,7 @@ from ..errors import ReproError, RequestError
 from ..core.session_model import SessionModelConfig, SessionThermalModel
 from ..engine.cache import ThermalModelCache, resolve_cache
 from ..obs.trace import RequestTrace
-from ..engine.scenarios import ScenarioSpec
+from ..engine.scenarios import BUILTIN_KINDS, ScenarioSpec
 from ..soc.library import ALPHA15_POWER_SEED
 from ..spec_utils import validate_limit_fields
 from ..soc.system import SocUnderTest
@@ -46,13 +47,15 @@ if TYPE_CHECKING:
     from ..engine.runner import BatchResult
 
 
+@lru_cache(maxsize=len(BUILTIN_KINDS))
 def _builtin_scenario(name: str) -> ScenarioSpec:
     """The scenario describing a built-in platform by name.
 
     Routing builtins through :class:`ScenarioSpec` keeps one source of
     truth for platform construction, STC calibration and the
     vertical-path requirement; alpha15's power profile is the
-    calibrated seeded draw, the other builtins ignore the seed.
+    calibrated seeded draw, the other builtins ignore the seed.  Each
+    name has one spec, so a request naming a platform makes none.
     """
     seed = ALPHA15_POWER_SEED if name == "alpha15" else 0
     return ScenarioSpec(kind=name, power_seed=seed)

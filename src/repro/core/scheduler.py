@@ -223,11 +223,14 @@ class ScheduleResult:
         How many sessions had to be forced through the ``on_stuck``
         path (0 in every paper-regime run).
     steady_solves:
-        Number of steady-state solves the run issued against the
-        simulator (phase A + every candidate session).  Unlike
-        ``effort_s`` (simulated seconds, the paper's metric) this
-        counts actual linear-system solves, so it tracks real compute
-        and surfaces perf regressions in benchmark output.
+        Steady-state queries the run made of the simulator, one per
+        power map Algorithm 1 asks about: one per core in phase A (read
+        off the influence matrix's diagonal on the reduced path) and
+        one per phase-B validation, whether computed or repeated (a
+        session grown again after its discard reuses its temperatures
+        but still counts).  Transient validation makes no steady query.
+        Unlike ``effort_s`` (simulated seconds, the paper's metric) it
+        counts queries, not seconds.
     """
 
     schedule: TestSchedule
@@ -416,8 +419,11 @@ class ThermalAwareScheduler:
         After a grown session is discarded,
         :meth:`~repro.core.session_model.SessionThermalModel.repeats`
         decides whether the retry's pass would admit the same cores; if
-        so the pass is skipped and the same session is validated (and
-        counted) again, so the result is the one every pass gives.
+        so the pass is skipped, and so is the simulation: the same
+        session has the same temperatures and violators, which are
+        reused and counted again (effort, one steady solve on the steady
+        paths, a :class:`DiscardedSession`), so the result is the one
+        every pass and every validation give.
 
         Parameters
         ----------
@@ -458,6 +464,7 @@ class ThermalAwareScheduler:
         names = self._soc.core_names
         power = [core.test_power_w for core in self._soc]
         test_time = [core.test_time_s for core in self._soc]
+        steady = config.validation == "steady"
         reduced = self._use_reduced()
         if reduced:
             operator = simulator.reduced_operator
@@ -493,24 +500,27 @@ class ThermalAwareScheduler:
                     forced_singletons += 1
                 session_cores = tuple(names[i] for i in session)
                 duration = max(test_time[i] for i in session)
+                # Validate the session with the accurate simulator.
                 if reduced:
-                    session_columns = [columns[i] for i in session]
-                    session_power = [power[i] for i in session]
+                    temps = simulator.block_steady_temperatures_c(
+                        [columns[i] for i in session], [power[i] for i in session]
+                    )
                 else:
-                    power_map = self._soc.session_power_map(session_cores)
-            # Otherwise this is the session just discarded, grown again.
-
-            if reduced:
-                temps = simulator.block_steady_temperatures_c(
-                    session_columns, session_power
-                )
-            else:
-                temps = self._session_temperatures(power_map, duration, session_cores)
+                    temps = self._session_temperatures(
+                        self._soc.session_power_map(session_cores),
+                        duration,
+                        session_cores,
+                    )
+                # Vectorised violator detection: one comparison against TL
+                # over the whole session instead of a per-core Python loop.
+                raised = (temps >= tl_c).nonzero()[0].tolist()
+            elif steady:
+                # The session just discarded, grown again: the same cores
+                # and powers, so the same temperatures and violators.  The
+                # query still counts, as the steady solve it repeats did.
+                simulator.charge_steady_solve()
             effort_s += duration
 
-            # Vectorised violator detection: one comparison against TL
-            # over the whole session instead of a per-core Python loop.
-            raised = (temps >= tl_c).nonzero()[0].tolist()
             if raised:
                 # Lines 19-22: discard, escalate, retry.
                 for k in raised:
@@ -532,8 +542,8 @@ class ThermalAwareScheduler:
                     )
                 # Only the violators' weights rose: until one of them
                 # prices past STCL, the retry's growth pass would admit
-                # the same cores, so the loop skips it and validates the
-                # same session again.  A forced singleton was never grown.
+                # the same cores, so the loop skips it and reuses this
+                # validation.  A forced singleton was never grown.
                 if not (grown.cores and model.repeats(grown, raised, stcl, weights)):
                     grown = None
                 continue

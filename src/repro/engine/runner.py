@@ -302,7 +302,7 @@ def save_batch_jsonl(results: Mapping[str, BatchJob], path: str | Path) -> int:
 def load_batch_jsonl(path: str | Path) -> dict[str, BatchJob]:
     """Load a batch archive back as job id -> (request, outcome).
 
-    Reports are revalidated against freshly rebuilt SoCs.
+    Reports are revalidated against the SoCs their requests describe.
 
     Raises
     ------

@@ -4,13 +4,14 @@ A :class:`ScenarioSpec` is a *description* of a system under test — not
 the built objects.  It is a frozen dataclass of primitives, so it is
 hashable, picklable (it crosses process boundaries in the
 multiprocessing backend) and trivially JSON-serialisable; the SoC is
-built on demand in whatever process executes the job.  Everything that
-depends only on the geometry is built once per process and shared: the
-floorplan comes from a bounded LRU keyed by the spec's generator
-arguments (built-in layouts are shared by the floorplan library), and
-each shared floorplan computes its adjacency map and fingerprint once;
-packages are shared per cooling regime the same way.
-A warm :meth:`ScenarioSpec.build_soc` therefore builds only the power
+built on demand in whatever process executes the job, and at most once
+per process while the spec stays warm: :meth:`ScenarioSpec.build_soc`
+serves one shared, immutable SoC per spec from a bounded LRU.  What a
+cold build makes is shared more widely still: the floorplan comes from
+a bounded LRU keyed by the spec's generator arguments (built-in layouts
+are shared by the floorplan library), and each shared floorplan
+computes its adjacency map and fingerprint once; packages are shared
+per cooling regime the same way.  So a cold build makes only the power
 profile and the :class:`~repro.soc.system.SocUnderTest`, and the
 thermal-model cache deduplicates the compiled network behind it.
 
@@ -24,9 +25,10 @@ thermal network — the sharing the cache exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterable, Literal, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Literal, Sequence
 
 import numpy as np
 
@@ -53,11 +55,13 @@ ScenarioKind = Literal["grid", "slicing", "alpha15", "hypothetical7", "worked_ex
 #: Kinds backed by built-in library SoCs (no generator parameters).
 BUILTIN_KINDS = ("alpha15", "hypothetical7", "worked_example6")
 
-#: Generated floorplan shapes, and separately package cooling regimes,
-#: that each process keeps for reuse.  A floorplan entry holds the blocks
-#: plus the adjacency map and fingerprint they compute on first use:
-#: about 0.2 MB for a 16x16 grid, far less for the tens-of-blocks shapes
-#: most requests name.  A package entry is a few hundred bytes.
+#: Built SoCs, and separately generated floorplan shapes and package
+#: cooling regimes, that each process keeps for reuse.  An SoC entry
+#: holds its cores (about 45 KB for a 16x16 grid, 4 KB for alpha15) and
+#: keeps its floorplan and package alive.  A floorplan entry holds the
+#: blocks plus the adjacency map and fingerprint they compute on first
+#: use: about 0.2 MB for a 16x16 grid, far less for the tens-of-blocks
+#: shapes most requests name.  A package entry is a few hundred bytes.
 SCENARIO_MEMO_SIZE = 64
 
 #: Most blocks a generated scenario may have.  The thermal model is
@@ -264,6 +268,18 @@ class ScenarioSpec:
         return _generated_floorplan(self.kind, *self._shape())
 
     def build_soc(self) -> SocUnderTest:
+        """The full system under test this scenario describes, shared per spec.
+
+        Built on the first request for this spec and then served from a
+        per-process LRU of :data:`SCENARIO_MEMO_SIZE` specs, keyed by
+        every field's value and type.  The SoC is immutable, so every
+        caller shares it: a solve, a same-network group, a decoded
+        report and an archive record of one spec all read one object,
+        equal to a fresh build.
+        """
+        return _scenario_soc(*_field_values(self))
+
+    def _build_soc(self) -> SocUnderTest:
         """Construct the full system under test this scenario describes."""
         package = self.build_package()
         if self.kind == "alpha15":
@@ -290,6 +306,21 @@ class ScenarioSpec:
             test_time_s=self.test_time_s,
             name=self.name,
         )
+
+
+#: A spec's field values, in field order (the constructor's arguments).
+_field_values = attrgetter(*(f.name for f in fields(ScenarioSpec)))
+
+
+@lru_cache(maxsize=SCENARIO_MEMO_SIZE, typed=True)
+def _scenario_soc(*values: Any) -> SocUnderTest:
+    """The shared SoC of the spec with these field values.
+
+    ``typed=True`` keeps specs that compare equal apart when a value's
+    type differs: ``die_width=1`` and ``1.0`` build the same blocks but
+    floorplans whose fingerprints differ.
+    """
+    return ScenarioSpec(*values)._build_soc()
 
 
 @dataclass(frozen=True)
@@ -379,7 +410,7 @@ def generate_scenarios(
         power_scale = float(
             np.exp(rng.uniform(np.log(scale_low), np.log(scale_high)))
         )
-        common = dict(
+        common: dict[str, Any] = dict(
             power_seed=int(rng.integers(0, 2**31 - 1)),
             power_scale=power_scale,
             convection_resistance=convection,
@@ -456,7 +487,7 @@ def generate_fleet(
     rng = np.random.default_rng(seed ^ 0x5EED)
     tl_low, tl_high = config.tl_headroom_range
     stcl_low, stcl_high = config.stcl_headroom_range
-    jobs = {}
+    jobs: dict[str, ScheduleRequest] = {}
     for i, scenario in enumerate(generate_scenarios(count, seed, config)):
         tl_draw = float(rng.uniform(tl_low, tl_high))
         # Always drawn so the RNG stream (hence tl per job) is identical

@@ -297,7 +297,7 @@ def warm_cache_from_archive(
     """Populate *cache* from an archive's ``ok`` records.
 
     Each successful record's embedded report is decoded (schedule
-    revalidated against a rebuilt SoC, exactly like a client decoding
+    revalidated against its request's SoC, exactly like a client decoding
     the wire) and stored under its recorded ``request_hash``, so a
     rebooted service answers yesterday's repeat traffic from memory
     before its first solve.  Later records for the same hash win

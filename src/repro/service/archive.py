@@ -63,8 +63,8 @@ def outcome_from_record(record: dict[str, Any]) -> SolveOutcome:
 
     An ``ok`` record's report goes through
     :func:`~repro.api.request.report_from_dict`, so its schedule is
-    revalidated against a rebuilt SoC.  The request itself is under
-    ``record["request"]``.
+    revalidated against the SoC its request describes.  The request
+    itself is under ``record["request"]``.
 
     Raises
     ------

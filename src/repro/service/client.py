@@ -346,8 +346,9 @@ class AsyncServiceClient:
     ) -> SolveReport | dict[str, Any]:
         """Submit one request and await its answer.
 
-        Returns the decoded report (schedule revalidated against a
-        rebuilt SoC) or, with ``decode=False``, the raw report frame.
+        Returns the decoded report (schedule revalidated against the
+        SoC its request describes) or, with ``decode=False``, the raw
+        report frame.
         Error frames raise: :class:`~repro.errors.ServiceBusyError` /
         :class:`~repro.errors.ServiceClosedError` /
         :class:`~repro.errors.ProtocolError` for their own kinds,

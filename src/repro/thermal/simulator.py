@@ -260,8 +260,20 @@ class ThermalSimulator:
 
     @property
     def steady_solve_count(self) -> int:
-        """Number of steady-state solves performed (diagnostics)."""
+        """Steady-state queries answered so far (diagnostics).
+
+        One per power map asked about: a full-network solve, a reduced
+        matvec, one map of a batched GEMM, or one singleton read off the
+        influence matrix's diagonal.  A caller that holds the answer to
+        a query it repeats charges it with :meth:`charge_steady_solve`,
+        so the count is one per query Algorithm 1 makes of the
+        simulator, whether computed or repeated.
+        """
         return self._steady_solve_count
+
+    def charge_steady_solve(self) -> None:
+        """Count one steady-state query whose answer the caller already holds."""
+        self._steady_solve_count += 1
 
     def reset_effort(self) -> None:
         """Zero the simulation-effort counters."""

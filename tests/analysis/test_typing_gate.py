@@ -35,6 +35,7 @@ PROMOTED = [
     "mypy-repro.thermal.resistances",
     "mypy-repro.core.session_model",
     "mypy-repro.core.scheduler",
+    "mypy-repro.engine.scenarios",
 ]
 
 
@@ -106,6 +107,8 @@ class TestMypyRun:
                 "repro.core.session_model",
                 "-m",
                 "repro.core.scheduler",
+                "-m",
+                "repro.engine.scenarios",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"

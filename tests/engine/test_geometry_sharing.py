@@ -1,17 +1,19 @@
-"""Geometry-only artefacts are built once per process and shared.
+"""Built SoCs and geometry-only artefacts are built once per process and shared.
 
-:meth:`ScenarioSpec.build_soc` takes its floorplan from a bounded LRU
-keyed by the generator arguments (built-in layouts are shared by the
-floorplan library), every shared floorplan computes its adjacency map
-and fingerprint once, and one resistance table per (floorplan, package)
-feeds both the network builder and the session model.  These tests pin that the sharing
-happens, that the shared artefacts equal fresh ones, and that a solve
-through warm memos equals a solve with every memo cleared, field for
-field.
+:meth:`ScenarioSpec.build_soc` serves one SoC per spec from a bounded
+LRU keyed by every field's value and type.  A cold build takes its
+floorplan from a bounded LRU keyed by the generator arguments (built-in
+layouts are shared by the floorplan library), every shared floorplan
+computes its adjacency map and fingerprint once, and one resistance
+table per (floorplan, package) feeds both the network builder and the
+session model.  These tests pin that the sharing happens, that the
+shared artefacts equal fresh ones, and that a solve through warm memos
+equals a solve with every memo cleared, field for field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +33,8 @@ from repro.errors import ReproError
 from repro.floorplan import library
 from repro.floorplan.adjacency import AdjacencyMap
 from repro.floorplan.generator import grid_floorplan, slicing_floorplan
+from repro.service.archive import outcome_from_record, outcome_record
+from repro.service.execution import solve_requests
 from repro.thermal import resistances
 from repro.thermal.package import DEFAULT_PACKAGE
 
@@ -44,7 +48,8 @@ SPECS = [
 
 
 def clear_geometry_memos() -> None:
-    """Forget every shared floorplan and resistance table of this process."""
+    """Forget every shared SoC, floorplan and resistance table of this process."""
+    scenarios._scenario_soc.cache_clear()
     scenarios._generated_floorplan.cache_clear()
     scenarios._package.cache_clear()
     resistances.resistance_table.cache_clear()
@@ -134,6 +139,91 @@ def test_int_and_float_die_sizes_do_not_share_a_floorplan():
     assert as_float.build_floorplan().fingerprint == fresh_floorplan(as_float).fingerprint
 
 
+def test_int_and_float_die_sizes_do_not_share_an_soc():
+    """Equal specs whose floorplans' fingerprints differ get an SoC each."""
+    as_int = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1, die_height=1)
+    as_float = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1.0, die_height=1.0)
+    assert as_int == as_float and hash(as_int) == hash(as_float)
+    clear_geometry_memos()
+    int_soc = as_int.build_soc()
+    float_soc = as_float.build_soc()
+    assert float_soc is not int_soc
+    assert as_int.build_soc() is int_soc and as_float.build_soc() is float_soc
+    for spec, soc in ((as_int, int_soc), (as_float, float_soc)):
+        assert soc.floorplan.fingerprint == fresh_floorplan(spec).fingerprint
+
+
+def soc_content(soc) -> tuple:
+    """What a built SoC holds, by value: name, floorplan, package and cores."""
+    return (soc.name, soc.floorplan.fingerprint, soc.package, list(soc))
+
+
+#: A changed value for every field but ``kind``.
+CHANGED = dict(
+    rows=5,
+    cols=6,
+    n_blocks=12,
+    floorplan_seed=4,
+    split_bias=0.4,
+    die_width=12e-3,
+    die_height=11e-3,
+    power_seed=7,
+    power_scale=1.3,
+    test_time_s=2.0,
+    convection_resistance=0.61,
+    ambient_c=30.0,
+)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_one_soc_per_spec_and_a_new_one_per_changed_field(spec):
+    assert sorted(CHANGED) == sorted(
+        f.name for f in dataclasses.fields(ScenarioSpec) if f.name != "kind"
+    )
+    clear_geometry_memos()
+    soc = spec.build_soc()
+    assert spec.build_soc() is soc
+    assert replace(spec).build_soc() is soc  # an equal spec, another object
+    variants = {}
+    for name, value in CHANGED.items():
+        assert getattr(spec, name) != value, name
+        variant = replace(spec, **{name: value})
+        variants[name] = variant, variant.build_soc()
+        assert variants[name][1] is not soc, name
+        assert variant.build_soc() is variants[name][1], name
+    clear_geometry_memos()
+    assert soc_content(spec.build_soc()) == soc_content(soc)
+    for name, (variant, built) in variants.items():
+        fresh = variant.build_soc()
+        assert fresh is not built, name
+        assert soc_content(fresh) == soc_content(built), name
+
+
+def test_warm_paths_build_no_soc(tmp_path):
+    """A solve, a group, a decode and an archive load of a seen spec build none."""
+    requests = [
+        ScheduleRequest(
+            scenario=ScenarioSpec(kind="grid", rows=3, cols=3, power_seed=5),
+            tl_headroom=1.3,
+            stcl_headroom=2.0,
+        ),
+        ScheduleRequest(soc="alpha15", tl_c=165.0, stcl=60.0),
+    ]
+    bench = Workbench()
+    reports = [bench.solve(request) for request in requests]
+    misses = scenarios._scenario_soc.cache_info().misses
+    again = [bench.solve(request) for request in requests]
+    bench.solve_batch(requests * 2)
+    outcomes = solve_requests(requests)
+    for request, report, outcome in zip(requests, reports, outcomes):
+        soc = report.schedule.soc
+        assert again[requests.index(request)].schedule.soc is soc
+        assert report_from_dict(report_to_dict(report)).schedule.soc is soc
+        loaded = outcome_from_record(outcome_record(request, outcome))
+        assert loaded.report.schedule.soc is soc
+    assert scenarios._scenario_soc.cache_info().misses == misses
+
+
 specs = st.one_of(
     st.builds(
         ScenarioSpec,
@@ -221,6 +311,7 @@ class TestReportDecode:
 
     def test_decode_builds_no_adjacency_map(self, grid16_report):
         data = report_to_dict(grid16_report)
+        scenarios._scenario_soc.cache_clear()
         scenarios._generated_floorplan.cache_clear()
         decoded = report_from_dict(data)
         floorplan = decoded.schedule.soc.floorplan
@@ -274,6 +365,16 @@ def test_threads_building_the_same_specs_get_correct_socs():
 
 
 class TestMemoBounds:
+    def test_soc_memo_stays_at_its_bound(self):
+        clear_geometry_memos()
+        first = ScenarioSpec(kind="grid", rows=2, cols=2)
+        soc = first.build_soc()
+        for seed in range(1, scenarios.SCENARIO_MEMO_SIZE + 4):
+            replace(first, power_seed=seed).build_soc()
+        info = scenarios._scenario_soc.cache_info()
+        assert info.currsize == info.maxsize == scenarios.SCENARIO_MEMO_SIZE
+        assert first.build_soc() is not soc  # evicted, so built again
+
     def test_floorplan_and_package_memos_stay_at_their_bound(self):
         clear_geometry_memos()
         for i in range(scenarios.SCENARIO_MEMO_SIZE + 4):
