@@ -2,14 +2,13 @@
 
 :class:`Workbench` owns a shared
 :class:`~repro.engine.cache.ThermalModelCache` and routes every
-scheduling question through one path — build the system, borrow a
-thermal model from the cache, resolve the limits, dispatch to the
-registered solver, report uniformly.  A single request
-(:meth:`Workbench.solve`) is a group of one: a group
-(:meth:`Workbench.solve_batch`) runs the same solve for each request
-over one map of model builds, so requests about the same system share
-its SoC, simulator and session model.  Prebuilt SoCs
-(:meth:`Workbench.solve_soc`) and generated fleets
+scheduling question through one path — take the shared system, borrow
+a thermal model from the cache, build its session model, resolve the
+limits, dispatch to the registered solver, report uniformly.  A single
+request (:meth:`Workbench.solve`) and each request of a group
+(:meth:`Workbench.solve_batch`) take that path alone; requests about
+the same system meet in the process's SoC memo and the model cache.
+Prebuilt SoCs (:meth:`Workbench.solve_soc`) and generated fleets
 (:meth:`Workbench.run_fleet`, which fans a batch out over an execution
 backend with the *same* cache) share the path too.
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -70,29 +68,6 @@ def _annotate(exc: BaseException, **fields: Any) -> None:
         pass  # exceptions with __slots__ cannot carry extras
 
 
-#: Identity of one model build: the system (a scenario, or ``None`` for
-#: a prebuilt SoC), whether the session model has the vertical path,
-#: and the STC scale.
-_BuildKey = tuple[ScenarioSpec | None, bool, float]
-
-
-@dataclass(frozen=True)
-class _Build:
-    """One system's model build, shared by the requests of one call.
-
-    The SoC, the simulator facade and the session model are immutable
-    at solve time (the facade's effort counter is read as a
-    before/after difference), so requests solved one after another over
-    one build get the reports they would get alone.  ``cache_hit`` is
-    the model-cache outcome of the build's first use.
-    """
-
-    soc: SocUnderTest
-    simulator: ThermalSimulator
-    model: SessionThermalModel
-    cache_hit: bool
-
-
 class Workbench:
     """Shared-cache facade over every registered solver.
 
@@ -134,50 +109,6 @@ class Workbench:
             Whatever the solver itself raises (infeasible limits,
             phase-A violations, ...).
         """
-        return self._solve(request, {})
-
-    def solve_batch(
-        self, requests: Sequence[ScheduleRequest]
-    ) -> list[SolveReport | BaseException]:
-        """Answer a group of requests over shared model builds.
-
-        Requests run **sequentially** through the solve behind
-        :meth:`solve`, over one map of model builds for the whole call:
-        one SoC, simulator and session model per distinct
-        ``(scenario, include_vertical, stc_scale)``.  Each report equals
-        the report of a solo solve, ``elapsed_s`` and ``timings`` aside;
-        a reused build reports what the solo solve after it would see —
-        a model-cache hit, when caching is on.
-
-        Each answer carries its own wall time in this call, SoC build
-        included: a report as its ``worker`` phase, a failure as
-        ``solve_elapsed_s``.  Per-request failures are returned in
-        place as the raised exception (also annotated with
-        ``solve_steady_solves`` / ``solve_cache_hit`` where possible),
-        so one infeasible request never poisons its group.
-        """
-        builds: dict[_BuildKey, _Build] = {}
-        results: list[SolveReport | BaseException] = []
-        for request in requests:
-            start = time.perf_counter()
-            try:
-                report = self._solve(request, builds)
-            except Exception as exc:
-                _annotate(exc, solve_elapsed_s=time.perf_counter() - start)
-                results.append(exc)
-                continue
-            worker_s = time.perf_counter() - start
-            results.append(
-                dataclasses.replace(
-                    report, timings={**(report.timings or {}), "worker": worker_s}
-                )
-            )
-        return results
-
-    def _solve(
-        self, request: ScheduleRequest, builds: dict[_BuildKey, _Build]
-    ) -> SolveReport:
-        """One request over the call's model builds."""
         solver = get_solver(request.solver)
         solver.validate_params(request.params)
         if solver.needs_stcl and not request.has_stcl:
@@ -190,30 +121,61 @@ class Workbench:
         else:
             scenario = request.scenario
             assert scenario is not None  # __post_init__ guarantees one source
-        key = (
-            scenario,
-            request.include_vertical or scenario.needs_vertical_path(),
-            (
-                request.stc_scale
-                if request.stc_scale is not None
-                else scenario.default_stc_scale()
-            ),
-        )
-        build = builds.get(key)
         return self._execute(
             solver=solver,
             request=request,
             # Built outside the request's trace: a worker's wall time
             # shows it as the gap between its ``worker`` and ``total``.
-            soc=scenario.build_soc() if build is None else build.soc,
-            builds=builds,
-            key=key,
+            soc=scenario.build_soc(),
+            include_vertical=(
+                request.include_vertical or scenario.needs_vertical_path()
+            ),
+            stc_scale=(
+                request.stc_scale
+                if request.stc_scale is not None
+                else scenario.default_stc_scale()
+            ),
             params=request.params,
             tl_c=request.tl_c,
             tl_headroom=request.tl_headroom,
             stcl=request.stcl,
             stcl_headroom=request.stcl_headroom,
         )
+
+    def solve_batch(
+        self, requests: Sequence[ScheduleRequest]
+    ) -> list[SolveReport | BaseException]:
+        """Answer a group of requests, one :meth:`solve` after another.
+
+        Each report equals the report of a solo solve, ``elapsed_s`` and
+        ``timings`` aside, and its ``cache_hit`` is what the solo solve
+        at that point would see: a request about a system an earlier
+        one just solved finds its model in the cache, when caching is
+        on.
+
+        Each answer carries its own wall time in this call, SoC build
+        included: a report as its ``worker`` phase, a failure as
+        ``solve_elapsed_s``.  Per-request failures are returned in
+        place as the raised exception (also annotated with
+        ``solve_steady_solves`` / ``solve_cache_hit`` where possible),
+        so one infeasible request never poisons its group.
+        """
+        results: list[SolveReport | BaseException] = []
+        for request in requests:
+            start = time.perf_counter()
+            try:
+                report = self.solve(request)
+            except Exception as exc:
+                _annotate(exc, solve_elapsed_s=time.perf_counter() - start)
+                results.append(exc)
+                continue
+            worker_s = time.perf_counter() - start
+            results.append(
+                dataclasses.replace(
+                    report, timings={**(report.timings or {}), "worker": worker_s}
+                )
+            )
+        return results
 
     def solve_soc(
         self,
@@ -253,8 +215,8 @@ class Workbench:
             solver=solver_obj,
             request=None,
             soc=soc,
-            builds={},
-            key=(None, include_vertical, stc_scale),
+            include_vertical=include_vertical,
+            stc_scale=stc_scale,
             params=params,
             tl_c=tl_c,
             tl_headroom=tl_headroom,
@@ -262,49 +224,37 @@ class Workbench:
             stcl_headroom=stcl_headroom,
         )
 
-    def _build(
-        self, soc: SocUnderTest, include_vertical: bool, stc_scale: float
-    ) -> _Build:
-        """The SoC's simulator (from the model cache when on) and session model."""
-        if self._cache is not None:
-            simulator, cache_hit = self._cache.simulator_for(
-                soc.floorplan, soc.package, soc.adjacency
-            )
-        else:
-            simulator = ThermalSimulator(soc.floorplan, soc.package, soc.adjacency)
-            cache_hit = False
-        model = SessionThermalModel(
-            soc,
-            SessionModelConfig(include_vertical=include_vertical, stc_scale=stc_scale),
-        )
-        return _Build(soc, simulator, model, cache_hit)
-
     def _execute(
         self,
         *,
         solver: Solver,
         request: ScheduleRequest | None,
         soc: SocUnderTest,
-        builds: dict[_BuildKey, _Build],
-        key: _BuildKey,
+        include_vertical: bool,
+        stc_scale: float,
         params: Mapping[str, Any],
         tl_c: float | None,
         tl_headroom: float | None,
         stcl: float | None,
         stcl_headroom: float | None,
     ) -> SolveReport:
-        """Solve over the build *key* names, making it from *soc* if new."""
+        """Solve on *soc* over its cached simulator and a new session model."""
         start = time.perf_counter()
         trace = RequestTrace()
         with trace.phase("model_build"):
-            build = builds.get(key)
-            if build is None:
-                build = builds[key] = self._build(soc, key[1], key[2])
-                cache_hit = build.cache_hit
+            if self._cache is not None:
+                simulator, cache_hit = self._cache.simulator_for(
+                    soc.floorplan, soc.package, soc.adjacency
+                )
             else:
-                cache_hit = self._cache is not None
-        soc, simulator = build.soc, build.simulator
-        solves_before = simulator.steady_solve_count
+                simulator = ThermalSimulator(soc.floorplan, soc.package, soc.adjacency)
+                cache_hit = False
+            model = SessionThermalModel(
+                soc,
+                SessionModelConfig(
+                    include_vertical=include_vertical, stc_scale=stc_scale
+                ),
+            )
         try:
             with trace.phase("limit_resolve"):
                 if tl_c is None:
@@ -316,7 +266,7 @@ class Workbench:
                     peak = float(own.max())
                     tl_c = ambient + tl_headroom * (peak - ambient)
                 if stcl is None and stcl_headroom is not None:
-                    worst = max(build.model.singleton_stcs(range(len(soc))))
+                    worst = max(model.singleton_stcs(range(len(soc))))
                     if not math.isfinite(worst):
                         raise RequestError(
                             "a core has an infinite singleton STC under the "
@@ -327,7 +277,7 @@ class Workbench:
             context = SolveContext(
                 soc=soc,
                 simulator=simulator,
-                model=build.model,
+                model=model,
                 tl_c=float(tl_c),
                 stcl=math.nan if stcl is None else float(stcl),
             )
@@ -353,7 +303,7 @@ class Workbench:
             # bugs too, and their effort must not read as zero.
             _annotate(
                 exc,
-                solve_steady_solves=simulator.steady_solve_count - solves_before,
+                solve_steady_solves=simulator.steady_solve_count,
                 solve_cache_hit=cache_hit,
             )
             raise
@@ -368,7 +318,7 @@ class Workbench:
             stcl=context.stcl,
             result=result,
             elapsed_s=elapsed_s,
-            steady_solves=simulator.steady_solve_count - solves_before,
+            steady_solves=simulator.steady_solve_count,
             cache_hit=cache_hit,
             timings=trace.timings,
             extras=extras,

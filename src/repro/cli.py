@@ -585,7 +585,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="most jobs one worker dispatch may solve as a coalesced "
-        "group sharing model builds and GEMMs (default 1: coalescing "
+        "group sharing one thermal model (default 1: coalescing "
         "off, one job per dispatch)",
     )
     caching = parser.add_argument_group("answer cache")

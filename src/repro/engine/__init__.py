@@ -6,8 +6,9 @@ subsystem turns it into a high-throughput batch service:
 * :mod:`scenarios` — declarative, picklable SoC descriptions and a
   seeded generator that emits diverse fleets (job id ->
   :class:`~repro.api.ScheduleRequest`) in one call;
-* :mod:`cache` — a content-hash-keyed cache sharing compiled thermal
-  networks and steady-state factorisations across jobs;
+* :mod:`cache` — a cache sharing compiled thermal networks and
+  steady-state factorisations across jobs, keyed by the shared
+  floorplan, adjacency map and package of each network;
 * :mod:`backends` — a pluggable execution-backend registry (serial,
   thread, multiprocessing);
 * :mod:`runner` — :class:`BatchRunner`, which fans jobs out through
@@ -37,9 +38,7 @@ from .backends import (
 from .cache import (
     CacheStats,
     ThermalModelCache,
-    floorplan_fingerprint,
     model_key,
-    package_fingerprint,
     process_local_cache,
 )
 from .runner import BatchResult, BatchRunner, load_batch_jsonl, save_batch_jsonl
@@ -64,12 +63,10 @@ __all__ = [
     "available_backends",
     "create_backend",
     "default_worker_count",
-    "floorplan_fingerprint",
     "generate_fleet",
     "generate_scenarios",
     "load_batch_jsonl",
     "model_key",
-    "package_fingerprint",
     "process_local_cache",
     "register_backend",
     "save_batch_jsonl",

@@ -5,18 +5,20 @@ scheduling job: compiling the RC network from floorplan + package and
 Cholesky-factorising its conductance matrix.  Scenarios in a fleet
 frequently share that pair (same grid shape, same cooling regime) while
 differing in powers, limits or scheduler knobs — so the batch engine
-caches ``(compiled network, factorisation, reduced operator)`` under a
-**content hash**
-of the floorplan geometry and package parameters, and hands every job a
-lightweight :class:`~repro.thermal.simulator.ThermalSimulator` facade
-(with its own effort counters) around the shared immutable artefacts.
+caches ``(compiled network, factorisation, reduced operator)`` per
+network and hands every job a lightweight
+:class:`~repro.thermal.simulator.ThermalSimulator` facade (with its own
+effort counters) around the shared immutable artefacts.
+
+A network is keyed by :func:`model_key`: its floorplan and adjacency
+map by identity, its package by value.  Each process shares one
+floorplan, one adjacency map and one package per shape and cooling
+regime (:mod:`repro.engine.scenarios`, :mod:`repro.floorplan.library`),
+so the objects themselves already say which network a request names.
 
 The cache is a thread-safe LRU (the thread backend shares one instance
 across workers), bounded by default, and keeps hit/miss/eviction
-statistics for batch summaries and the service's metrics.  Floorplans,
-adjacency maps and packages each hash their content once, and the
-scenario layer shares all three across warm requests, so a warm key is
-a string concatenation.
+statistics for batch summaries and the service's metrics.
 """
 
 from __future__ import annotations
@@ -33,50 +35,30 @@ from ..thermal.reduced import ReducedSteadyOperator
 from ..thermal.simulator import ThermalSimulator
 from ..thermal.steady_state import SteadyStateSolver
 
-
-def floorplan_fingerprint(floorplan: Floorplan) -> str:
-    """Content hash of a floorplan's thermally relevant geometry.
-
-    Computed once per floorplan object; see
-    :attr:`Floorplan.fingerprint <repro.floorplan.floorplan.Floorplan.fingerprint>`.
-    """
-    return floorplan.fingerprint
-
-
-def package_fingerprint(package: PackageConfig) -> str:
-    """Content hash of every package parameter (materials included).
-
-    Computed once per package object; see
-    :attr:`PackageConfig.fingerprint <repro.thermal.package.PackageConfig.fingerprint>`.
-    """
-    return package.fingerprint
-
-
-def adjacency_fingerprint(adjacency: AdjacencyMap) -> str:
-    """Content hash of an adjacency map's thermally relevant structure.
-
-    Computed once per map object; see
-    :attr:`AdjacencyMap.fingerprint <repro.floorplan.adjacency.AdjacencyMap.fingerprint>`.
-    """
-    return adjacency.fingerprint
+#: Key of one cached network: floorplan and adjacency map (by identity)
+#: and package (by value).
+ModelKey = tuple[Floorplan, AdjacencyMap, PackageConfig]
 
 
 def model_key(
     floorplan: Floorplan,
     package: PackageConfig,
     adjacency: AdjacencyMap | None = None,
-) -> str:
+) -> ModelKey:
     """Cache key of the (floorplan, package, adjacency) triple.
 
-    ``adjacency=None`` (build the default map from the floorplan) and
-    an explicitly passed default map hash differently — a false miss,
-    which is acceptable; every caller that reuses a SoC's precomputed
-    map passes it consistently, so they share keys.
+    ``adjacency=None`` stands for the floorplan's shared map, so it and
+    the map passed explicitly are one key.  Floorplans and maps compare
+    by identity and packages by value, as
+    :func:`~repro.thermal.resistances.resistance_table` keys its memo:
+    a separately built floorplan or map with equal content is a new key
+    (a false miss, which is acceptable; false hits are not).  The
+    floorplan stays in the key although the map names one, because a
+    map may be passed with another floorplan; the build checks the pair.
     """
-    key = floorplan_fingerprint(floorplan) + ":" + package_fingerprint(package)
-    if adjacency is not None:
-        key += ":" + adjacency_fingerprint(adjacency)
-    return key
+    if adjacency is None:
+        adjacency = floorplan.adjacency
+    return (floorplan, adjacency, package)
 
 
 #: Default LRU bound of :class:`ThermalModelCache`.  An entry holds a
@@ -194,7 +176,7 @@ class CacheStats:
 
 
 class ThermalModelCache:
-    """Content-hash-keyed cache of compiled networks and factorisations.
+    """Cache of compiled networks and factorisations, keyed by :func:`model_key`.
 
     Parameters
     ----------
@@ -209,7 +191,7 @@ class ThermalModelCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
         self._max_entries = max_entries
         self._entries: OrderedDict[
-            str, tuple[BuiltModel, SteadyStateSolver, SharedReducedSlot]
+            ModelKey, tuple[BuiltModel, SteadyStateSolver, SharedReducedSlot]
         ] = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: _lock
@@ -259,7 +241,7 @@ class ThermalModelCache:
         (simulator, hit)
             *simulator* has its own effort counters but shares the
             compiled network and factorisation with every other
-            simulator handed out for the same content hash; *hit* says
+            simulator handed out for the same key; *hit* says
             whether the model came from the cache.
         """
         key = model_key(floorplan, package, adjacency)

@@ -10,10 +10,11 @@ serves one shared, immutable SoC per spec from a bounded LRU.  What a
 cold build makes is shared more widely still: the floorplan comes from
 a bounded LRU keyed by the spec's generator arguments (built-in layouts
 are shared by the floorplan library), and each shared floorplan
-computes its adjacency map and fingerprint once; packages are shared
-per cooling regime the same way.  So a cold build makes only the power
-profile and the :class:`~repro.soc.system.SocUnderTest`, and the
-thermal-model cache deduplicates the compiled network behind it.
+computes its adjacency map once; packages are shared per cooling
+regime the same way.  So a cold build makes only the power profile and
+the :class:`~repro.soc.system.SocUnderTest`, and the thermal-model
+cache, keyed by those shared objects, deduplicates the compiled network
+behind it.
 
 :func:`generate_fleet` turns "as many scenarios as you can imagine"
 into one seeded call: it emits a diverse mix of grid and random
@@ -59,9 +60,9 @@ BUILTIN_KINDS = ("alpha15", "hypothetical7", "worked_example6")
 #: cooling regimes, that each process keeps for reuse.  An SoC entry
 #: holds its cores (about 45 KB for a 16x16 grid, 4 KB for alpha15) and
 #: keeps its floorplan and package alive.  A floorplan entry holds the
-#: blocks plus the adjacency map and fingerprint they compute on first
-#: use: about 0.2 MB for a 16x16 grid, far less for the tens-of-blocks
-#: shapes most requests name.  A package entry is a few hundred bytes.
+#: blocks plus the adjacency map they compute on first use: about
+#: 0.2 MB for a 16x16 grid, far less for the tens-of-blocks shapes most
+#: requests name.  A package entry is a few hundred bytes.
 SCENARIO_MEMO_SIZE = 64
 
 #: Most blocks a generated scenario may have.  The thermal model is
@@ -86,7 +87,7 @@ def _generated_floorplan(kind: str, *shape: Any) -> Floorplan:
     """The shared floorplan of one generated shape (see ``ScenarioSpec._shape``).
 
     ``typed=True`` keeps ``1`` and ``1.0`` apart: they build the same
-    blocks but an outline whose ``repr`` (hence fingerprint) differs.
+    blocks but outlines whose fields differ in type.
     """
     if kind == "grid":
         return grid_floorplan(*shape)
@@ -224,7 +225,7 @@ class ScenarioSpec:
         and reduced operator — even when their power profiles or test
         times differ.  The service's request coalescer groups pending
         jobs by this key (a coarser key than the full request content
-        hash), so one shared model build serves the whole group.  Only
+        hash), so the whole group shares one model-cache entry.  Only
         the fields that feed :meth:`build_floorplan` /
         :meth:`build_package` participate; ``power_seed`` /
         ``power_scale`` / ``test_time_s`` deliberately do not.
@@ -261,7 +262,7 @@ class ScenarioSpec:
         Built on the first request for its shape and then served from a
         per-process LRU of :data:`SCENARIO_MEMO_SIZE` shapes; the
         floorplan is immutable, so every SoC built on it shares its
-        adjacency map and fingerprint too.
+        adjacency map and thermal-model cache entry too.
         """
         if self.kind in BUILTIN_KINDS:
             return self.build_soc().floorplan
@@ -318,7 +319,7 @@ def _scenario_soc(*values: Any) -> SocUnderTest:
 
     ``typed=True`` keeps specs that compare equal apart when a value's
     type differs: ``die_width=1`` and ``1.0`` build the same blocks but
-    floorplans whose fingerprints differ.
+    floorplans whose outlines differ in type.
     """
     return ScenarioSpec(*values)._build_soc()
 

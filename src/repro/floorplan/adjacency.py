@@ -20,7 +20,6 @@ that needs ``networkx``, which is not one of its dependencies).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,11 +90,8 @@ SIDES = (Side.NORTH, Side.SOUTH, Side.EAST, Side.WEST)
 HORIZONTAL = np.array([side.is_horizontal for side in SIDES])
 HORIZONTAL.flags.writeable = False
 
-#: Each side's code, the code of each code's opposite side, and each
-#: side as the fingerprint spells it.
+#: Each side's code.
 _CODE = {side: code for code, side in enumerate(SIDES)}
-_OPPOSITE_CODE = tuple(_CODE[side.opposite] for side in SIDES)
-_SIDE_TEXT = tuple(f"{side}" for side in SIDES)
 
 
 class AdjacencyMap:
@@ -182,30 +178,6 @@ class AdjacencyMap:
             np.where(HORIZONTAL[sides], width[blocks], height[blocks])
         )
 
-    def _interface_fields(self) -> Iterator[tuple[str, str, int, float]]:
-        """Each interface's names in lexical order, side code and length."""
-        names = self._floorplan.block_names
-        for i, j, code, length in zip(
-            self.interface_blocks[:, 0].tolist(),
-            self.interface_blocks[:, 1].tolist(),
-            self.interface_sides.tolist(),
-            self.interface_lengths.tolist(),
-        ):
-            if names[i] < names[j]:
-                yield names[i], names[j], code, length
-            else:
-                yield names[j], names[i], _OPPOSITE_CODE[code], length
-
-    def _segment_fields(self) -> Iterator[tuple[str, int, float]]:
-        """Each die-boundary segment's block name, side code and length."""
-        names = self._floorplan.block_names
-        for i, code, length in zip(
-            self.segment_blocks.tolist(),
-            self.segment_sides.tolist(),
-            self.segment_lengths.tolist(),
-        ):
-            yield names[i], code, length
-
     @cached_property
     def _views(
         self,
@@ -214,17 +186,30 @@ class AdjacencyMap:
     ]:
         """The object views of the arrays, built on first query."""
         names = self._floorplan.block_names
-        interfaces = [
-            Interface(a, b, SIDES[code], length)
-            for a, b, code, length in self._interface_fields()
-        ]
+        interfaces: list[Interface] = []
+        for i, j, code, length in zip(
+            self.interface_blocks[:, 0].tolist(),
+            self.interface_blocks[:, 1].tolist(),
+            self.interface_sides.tolist(),
+            self.interface_lengths.tolist(),
+        ):
+            # An interface names its blocks in lexical order.
+            side = SIDES[code]
+            if names[i] < names[j]:
+                interfaces.append(Interface(names[i], names[j], side, length))
+            else:
+                interfaces.append(Interface(names[j], names[i], side.opposite, length))
         by_block: dict[str, list[Interface]] = {name: [] for name in names}
         for interface in interfaces:
             by_block[interface.block_a].append(interface)
             by_block[interface.block_b].append(interface)
         boundary: dict[str, list[BoundarySegment]] = {name: [] for name in names}
-        for name, code, length in self._segment_fields():
-            boundary[name].append(BoundarySegment(name, SIDES[code], length))
+        for i, code, length in zip(
+            self.segment_blocks.tolist(),
+            self.segment_sides.tolist(),
+            self.segment_lengths.tolist(),
+        ):
+            boundary[names[i]].append(BoundarySegment(names[i], SIDES[code], length))
         return interfaces, by_block, boundary
 
     # -- queries -----------------------------------------------------------------
@@ -271,26 +256,6 @@ class AdjacencyMap:
     def iter_block_names(self) -> Iterator[str]:
         """Iterate block names in canonical floorplan order."""
         return iter(self._floorplan.block_names)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Content hash of the thermally relevant structure (computed once).
-
-        A custom adjacency (different tolerance, hence different
-        interface topology and shared-edge lengths) changes the lateral
-        conductances of the built network, so it keys the model cache:
-        a false hit there would return wrong temperatures.
-        """
-        text = _SIDE_TEXT
-        parts = [
-            f"{a}|{b}|{text[code]}|{length!r};"
-            for a, b, code, length in self._interface_fields()
-        ]
-        parts += [
-            f"@{name}|{text[code]}|{length!r};"
-            for name, code, length in self._segment_fields()
-        ]
-        return hashlib.sha256("".join(parts).encode()).hexdigest()
 
     # -- diagnostics --------------------------------------------------------------
 

@@ -19,7 +19,6 @@ runs once in ``__init__`` and every consumer can then rely on:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -226,31 +225,6 @@ class Floorplan:
         from .adjacency import AdjacencyMap  # deferred: adjacency imports us
 
         return AdjacencyMap(self)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Content hash of the thermally relevant geometry (computed once).
-
-        Block order matters (it defines the solver's node indexing) and
-        float coordinates are hashed via ``repr`` so any bit-level
-        difference produces a different key: false cache misses are
-        acceptable, false hits are not.  The floorplan *name* is
-        excluded: two identically shaped dies share a thermal network
-        regardless of what they are called.
-        """
-        digest = hashlib.sha256()
-        for block in self._blocks:
-            rect = block.rect
-            digest.update(
-                f"{block.name}|{rect.x!r}|{rect.y!r}|{rect.width!r}|"
-                f"{rect.height!r};".encode()
-            )
-        outline = self._outline
-        digest.update(
-            f"@{outline.x!r}|{outline.y!r}|{outline.width!r}|"
-            f"{outline.height!r}".encode()
-        )
-        return digest.hexdigest()
 
     def index_of(self, name: str) -> int:
         """Canonical index of the named block (solver node ordering)."""

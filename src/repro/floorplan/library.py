@@ -25,7 +25,8 @@ Three layouts are bundled:
 All dimensions in metres; layouts are validated (and, where stated,
 fully tiled) on first use.  Each function builds its floorplan once per
 process and returns that shared immutable object afterwards, so every
-SoC built on a layout shares its adjacency map and fingerprint.
+SoC built on a layout shares its adjacency map and thermal-model cache
+entry.
 """
 
 from __future__ import annotations

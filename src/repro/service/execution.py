@@ -85,12 +85,11 @@ def solve_requests(
     """Execute one group of requests; one outcome per request, in order.
 
     Backed by :meth:`~repro.api.Workbench.solve_batch`: the requests
-    run one after another over shared model builds, with reports equal
-    to solo solves.  Each request's own wall time in the worker, SoC
-    build included, is its ``worker`` phase and its outcome's
-    ``elapsed_s``.  Per-request failures come back as per-request error
-    outcomes — a mid-group infeasible request never poisons its
-    neighbours.
+    run one after another, each a solo solve over *cache*.  Each
+    request's own wall time in the worker, SoC build included, is its
+    ``worker`` phase and its outcome's ``elapsed_s``.  Per-request
+    failures come back as per-request error outcomes — a mid-group
+    infeasible request never poisons its neighbours.
     """
     start = time.perf_counter()
     try:

@@ -648,10 +648,9 @@ class ScheduleService:
         is a group of one, the benchmark baseline.  Drained jobs are
         grouped by thermal-model identity (same scenario geometry, or
         same named SoC) and effective timeout; each group becomes one
-        executor task that solves its jobs one after another, sharing
-        the worker's model-cache entry and, for jobs about the same
-        scenario, one SoC and session-model build.  Per-job outcomes
-        are bit-identical to solo solves.
+        executor task that solves its jobs one after another over the
+        worker's model-cache entry.  Per-job outcomes are bit-identical
+        to solo solves.
     """
 
     def __init__(
@@ -1302,9 +1301,8 @@ class ScheduleService:
         to the same thermal *network* (same scenario geometry, or the
         same named SoC) shares one model-cache entry, so requests
         differing only in limits, solver or power inputs still
-        coalesce (those differing in limits or solver alone also share
-        one SoC and session-model build).  The effective timeout joins
-        the key because a group runs under a single deadline.
+        coalesce.  The effective timeout joins the key because a group
+        runs under a single deadline.
         """
         request = job.request
         if request.scenario is not None:

@@ -18,9 +18,7 @@ test-session thermal models from the same numbers.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from ..errors import ThermalModelError
 from ..spec_utils import is_finite_number, is_positive_number
@@ -130,32 +128,6 @@ class PackageConfig:
     def sink_area(self) -> float:
         """Sink base plate area in m^2."""
         return self.sink_side * self.sink_side
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Content hash of every parameter, materials included (computed once)."""
-        digest = hashlib.sha256()
-        digest.update(
-            "|".join(
-                [
-                    repr(self.die_thickness),
-                    repr(self.die_material),
-                    repr(self.tim_thickness),
-                    repr(self.tim_material),
-                    repr(self.spreader_side),
-                    repr(self.spreader_thickness),
-                    repr(self.spreader_material),
-                    repr(self.sink_side),
-                    repr(self.sink_thickness),
-                    repr(self.sink_material),
-                    repr(self.convection_resistance),
-                    repr(self.convection_capacitance),
-                    repr(self.rim_coefficient),
-                    repr(self.ambient_c),
-                ]
-            ).encode()
-        )
-        return digest.hexdigest()
 
 
 #: The package used by all built-in experiments.

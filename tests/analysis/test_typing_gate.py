@@ -36,6 +36,7 @@ PROMOTED = [
     "mypy-repro.core.session_model",
     "mypy-repro.core.scheduler",
     "mypy-repro.engine.scenarios",
+    "mypy-repro.engine.cache",
 ]
 
 
@@ -109,6 +110,8 @@ class TestMypyRun:
                 "repro.core.scheduler",
                 "-m",
                 "repro.engine.scenarios",
+                "-m",
+                "repro.engine.cache",
             ]
         )
         assert status == 0, f"mypy reported errors:\n{stdout}\n{stderr}"

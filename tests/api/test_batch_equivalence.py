@@ -1,13 +1,16 @@
 """Group solves must be bit-identical to solo solves.
 
 The service's request coalescer pushes groups of requests through
-:meth:`repro.api.Workbench.solve_batch`, which runs them one after
-another over shared SoC builds, simulator facades and session models.
-A solo solve is a group of one on the same path.  The design rests on
-one property: **sharing must be observationally invisible**.  These
-tests state it as a property over randomly generated floorplans and
-mixed solvers — every report a group returns equals, field for field,
-the report a solo solve of the same request returns, including the
+:meth:`repro.api.Workbench.solve_batch`, which solves them one after
+another exactly as :meth:`~repro.api.Workbench.solve` solves one: each
+request takes its spec's shared SoC, borrows a simulator facade from
+the model cache and builds its own session model.  The requests of a
+group still share the process's SoC memo, the cached network and the
+resistance table's ``Rth`` memo, and the design rests on one property:
+**sharing must be observationally invisible**.  These tests state it
+as a property over randomly generated floorplans and mixed solvers —
+every report a group returns equals, field for field, the report a
+solo solve of the same request returns, including the
 ``steady_solves`` effort accounting — and pin the per-request
 bookkeeping a group must keep: model-cache hits as a sequential solo
 run would see them, and worker wall times that enclose the traced
@@ -16,8 +19,7 @@ solve.
 Why ``steady_solves`` can match at all: the group path never *stacks*
 requests into one GEMM (BLAS multi-column products are not bitwise
 equal to their single-column runs); each request computes exactly what
-it would alone, and the effort counter is read per request as a
-before/after difference on the shared simulator facade.
+it would alone, and counts its effort on a simulator facade of its own.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ class TestBatchEquivalence:
             solo = solve_alone(request)
             assert not isinstance(item, BaseException), item
             assert canonical(item) == canonical(solo)
-            # Effort accounting matches exactly: a shared facade's
-            # counter is read per request.
+            # Effort accounting matches exactly: each request counts
+            # on a facade of its own.
             assert item.steady_solves == solo.steady_solves
 
     def test_same_scenario_varied_limits_share_and_still_match(self):

@@ -6,13 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine.cache import (
-    MODEL_CACHE_ENTRIES,
-    ThermalModelCache,
-    floorplan_fingerprint,
-    model_key,
-    package_fingerprint,
-)
+from repro.engine.cache import MODEL_CACHE_ENTRIES, ThermalModelCache, model_key
+from repro.errors import ThermalModelError
+from repro.floorplan.adjacency import AdjacencyMap
 from repro.floorplan.generator import grid_floorplan
 from repro.thermal.package import DEFAULT_PACKAGE
 from repro.thermal.simulator import ThermalSimulator
@@ -23,29 +19,78 @@ def plan():
     return grid_floorplan(2, 2)
 
 
-class TestFingerprints:
-    def test_name_does_not_affect_floorplan_fingerprint(self):
-        a = grid_floorplan(2, 2, name="first")
-        b = grid_floorplan(2, 2, name="second")
-        assert floorplan_fingerprint(a) == floorplan_fingerprint(b)
+class TestModelKey:
+    """Floorplans and adjacency maps key by identity, packages by value."""
 
-    def test_geometry_changes_fingerprint(self):
-        assert floorplan_fingerprint(grid_floorplan(2, 2)) != floorplan_fingerprint(
-            grid_floorplan(2, 3)
+    def test_default_map_and_the_floorplans_own_map_are_one_entry(self, plan):
+        assert model_key(plan, DEFAULT_PACKAGE) == model_key(
+            plan, DEFAULT_PACKAGE, plan.adjacency
         )
-        assert floorplan_fingerprint(grid_floorplan(2, 2)) != floorplan_fingerprint(
-            grid_floorplan(2, 2, die_width=20e-3)
-        )
+        cache = ThermalModelCache()
+        _, first = cache.simulator_for(plan, DEFAULT_PACKAGE)
+        _, second = cache.simulator_for(plan, DEFAULT_PACKAGE, plan.adjacency)
+        assert (first, second) == (False, True)
+        assert len(cache) == 1
 
-    def test_package_parameters_change_fingerprint(self):
+    def test_another_floorplans_map_is_refused_even_when_cached(self):
+        wide = grid_floorplan(2, 2, die_width=20e-3)
+        narrow = grid_floorplan(2, 2)
+        assert wide.block_names == narrow.block_names
+        cache = ThermalModelCache()
+        cache.simulator_for(wide, DEFAULT_PACKAGE, wide.adjacency)
+        with pytest.raises(ThermalModelError, match="does not match"):
+            cache.simulator_for(narrow, DEFAULT_PACKAGE, wide.adjacency)
+        assert len(cache) == 1
+
+    def test_packages_equal_by_value_share_one_entry(self, plan):
+        as_int = replace(DEFAULT_PACKAGE, convection_resistance=1, ambient_c=45)
+        as_float = replace(DEFAULT_PACKAGE, convection_resistance=1.0, ambient_c=45.0)
+        assert as_int == as_float and as_int is not as_float
+        assert model_key(plan, as_int) == model_key(plan, as_float)
+        cache = ThermalModelCache()
+        power = {"C0_0": 20.0, "C1_1": 5.0}
+        for package, hit in ((as_int, False), (as_float, True)):
+            cached, cache_hit = cache.simulator_for(plan, package)
+            assert cache_hit is hit
+            fresh = ThermalSimulator(plan, package)
+            assert (
+                cached.steady_state(power).block_temperatures_c()
+                == fresh.steady_state(power).block_temperatures_c()
+            )
+            assert (
+                cached.block_steady_state(power).block_temperatures_c()
+                == fresh.block_steady_state(power).block_temperatures_c()
+            )
+            assert cached.block_peak_transient_c(
+                power, 0.05
+            ) == fresh.block_peak_transient_c(power, 0.05)
+        assert len(cache) == 1
+
+    def test_equal_content_built_separately_is_a_new_key(self, plan):
+        twin = grid_floorplan(2, 2)
+        own_map = AdjacencyMap(plan)
+        assert model_key(twin, DEFAULT_PACKAGE) != model_key(plan, DEFAULT_PACKAGE)
+        assert model_key(plan, DEFAULT_PACKAGE, own_map) != model_key(
+            plan, DEFAULT_PACKAGE
+        )
+        cache = ThermalModelCache()
+        hits = [
+            cache.simulator_for(floorplan, DEFAULT_PACKAGE, adjacency)[1]
+            for floorplan, adjacency in ((plan, None), (twin, None), (plan, own_map))
+        ]
+        assert hits == [False, False, False]
+        assert len(cache) == 3
+
+    def test_package_and_geometry_change_the_key(self, plan):
         warm = replace(DEFAULT_PACKAGE, convection_resistance=0.9)
-        assert package_fingerprint(DEFAULT_PACKAGE) != package_fingerprint(warm)
         hot = replace(DEFAULT_PACKAGE, ambient_c=60.0)
-        assert package_fingerprint(DEFAULT_PACKAGE) != package_fingerprint(hot)
-
-    def test_model_key_combines_both(self, plan):
-        warm = replace(DEFAULT_PACKAGE, convection_resistance=0.9)
-        assert model_key(plan, DEFAULT_PACKAGE) != model_key(plan, warm)
+        keys = {
+            model_key(plan, DEFAULT_PACKAGE),
+            model_key(plan, warm),
+            model_key(plan, hot),
+            model_key(grid_floorplan(2, 3), DEFAULT_PACKAGE),
+        }
+        assert len(keys) == 4
 
 
 class TestThermalModelCache:
@@ -195,9 +240,6 @@ class TestAdjacencyKeying:
         )
 
     def test_custom_adjacency_does_not_false_hit(self):
-        from repro.floorplan.adjacency import AdjacencyMap
-        from repro.thermal.package import DEFAULT_PACKAGE
-
         plan = self._gapped_plan()
         default_map = AdjacencyMap(plan)
         coarse_map = AdjacencyMap(plan, tol=1e-3)
@@ -209,16 +251,3 @@ class TestAdjacencyKeying:
         cache.simulator_for(plan, DEFAULT_PACKAGE, default_map)
         _, hit = cache.simulator_for(plan, DEFAULT_PACKAGE, coarse_map)
         assert not hit
-
-    def test_same_adjacency_still_hits(self):
-        from repro.floorplan.adjacency import AdjacencyMap
-        from repro.floorplan.generator import grid_floorplan
-        from repro.thermal.package import DEFAULT_PACKAGE
-
-        plan = grid_floorplan(2, 2)
-        adjacency = AdjacencyMap(plan)
-        cache = ThermalModelCache()
-        _, first = cache.simulator_for(plan, DEFAULT_PACKAGE, adjacency)
-        _, second = cache.simulator_for(plan, DEFAULT_PACKAGE, AdjacencyMap(plan))
-        assert not first
-        assert second

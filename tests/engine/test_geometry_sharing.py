@@ -4,11 +4,12 @@
 LRU keyed by every field's value and type.  A cold build takes its
 floorplan from a bounded LRU keyed by the generator arguments (built-in
 layouts are shared by the floorplan library), every shared floorplan
-computes its adjacency map and fingerprint once, and one resistance
-table per (floorplan, package) feeds both the network builder and the
-session model.  These tests pin that the sharing happens, that the
-shared artefacts equal fresh ones, and that a solve through warm memos
-equals a solve with every memo cleared, field for field.
+computes its adjacency map once, and one resistance table per
+(floorplan, package) feeds both the network builder and the session
+model.  The thermal-model cache keys a network by those shared
+objects.  These tests pin that the sharing happens, that the shared
+artefacts equal fresh ones, and that a solve through warm memos equals
+a solve with every memo cleared, field for field.
 """
 
 from __future__ import annotations
@@ -72,6 +73,23 @@ def fresh_floorplan(spec: ScenarioSpec):
     return getattr(library, spec.kind).__wrapped__()
 
 
+def geometry(floorplan) -> tuple:
+    """A floorplan's blocks and outline, spelled exactly.
+
+    Block names in order, and ``repr`` of each rectangle's four fields
+    and of the outline's, so a coordinate that differs in a bit or in
+    type (``1`` against ``1.0``) differs here too.
+    """
+
+    def spelled(rect) -> tuple[str, ...]:
+        return tuple(map(repr, (rect.x, rect.y, rect.width, rect.height)))
+
+    return (
+        tuple((block.name, spelled(block.rect)) for block in floorplan),
+        spelled(floorplan.outline),
+    )
+
+
 def comparable(report) -> dict:
     """A report's dict form without the fields that vary run to run."""
     data = report_to_dict(report)
@@ -102,8 +120,11 @@ class TestSharing:
         for name in floorplan.block_names:
             assert shared.boundary_segments(name) == fresh.boundary_segments(name)
 
-    def test_model_key_matches_fresh_objects(self, spec):
+    def test_model_key_is_equal_for_shared_objects_only(self, spec):
         soc = spec.build_soc()
+        other = replace(spec, power_seed=spec.power_seed + 1).build_soc()
+        key = model_key(soc.floorplan, soc.package, soc.adjacency)
+        assert model_key(other.floorplan, other.package) == key
         floorplan = fresh_floorplan(spec)
         package = replace(
             DEFAULT_PACKAGE,
@@ -111,10 +132,11 @@ class TestSharing:
             ambient_c=spec.ambient_c,
         )
         assert floorplan is not soc.floorplan and package is not soc.package
-        assert model_key(soc.floorplan, soc.package, soc.adjacency) == model_key(
-            floorplan, package, AdjacencyMap(floorplan)
-        )
-        assert model_key(soc.floorplan, soc.package) == model_key(floorplan, package)
+        assert geometry(floorplan) == geometry(soc.floorplan)
+        # The package keys by value; a fresh floorplan or map is new.
+        assert model_key(soc.floorplan, package) == key
+        assert model_key(floorplan, package) != key
+        assert model_key(soc.floorplan, package, AdjacencyMap(soc.floorplan)) != key
 
     @pytest.mark.parametrize("include_vertical", [False, True])
     def test_session_model_matches_a_fresh_build(self, spec, include_vertical):
@@ -136,11 +158,12 @@ def test_int_and_float_die_sizes_do_not_share_a_floorplan():
     as_int = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1, die_height=1)
     as_float = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1.0, die_height=1.0)
     assert as_int.build_floorplan() is not as_float.build_floorplan()
-    assert as_float.build_floorplan().fingerprint == fresh_floorplan(as_float).fingerprint
+    assert geometry(as_int.build_floorplan()) != geometry(as_float.build_floorplan())
+    assert geometry(as_float.build_floorplan()) == geometry(fresh_floorplan(as_float))
 
 
 def test_int_and_float_die_sizes_do_not_share_an_soc():
-    """Equal specs whose floorplans' fingerprints differ get an SoC each."""
+    """Equal specs whose floorplans' outlines differ in type get an SoC each."""
     as_int = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1, die_height=1)
     as_float = ScenarioSpec(kind="grid", rows=2, cols=2, die_width=1.0, die_height=1.0)
     assert as_int == as_float and hash(as_int) == hash(as_float)
@@ -150,12 +173,12 @@ def test_int_and_float_die_sizes_do_not_share_an_soc():
     assert float_soc is not int_soc
     assert as_int.build_soc() is int_soc and as_float.build_soc() is float_soc
     for spec, soc in ((as_int, int_soc), (as_float, float_soc)):
-        assert soc.floorplan.fingerprint == fresh_floorplan(spec).fingerprint
+        assert geometry(soc.floorplan) == geometry(fresh_floorplan(spec))
 
 
 def soc_content(soc) -> tuple:
     """What a built SoC holds, by value: name, floorplan, package and cores."""
-    return (soc.name, soc.floorplan.fingerprint, soc.package, list(soc))
+    return (soc.name, geometry(soc.floorplan), soc.package, list(soc))
 
 
 #: A changed value for every field but ``kind``.
@@ -358,7 +381,7 @@ def test_threads_building_the_same_specs_get_correct_socs():
     clear_geometry_memos()
     for spec, soc in zip(jobs, socs):
         floorplan = fresh_floorplan(spec)
-        assert soc.floorplan.fingerprint == floorplan.fingerprint
+        assert geometry(soc.floorplan) == geometry(floorplan)
         assert soc.adjacency.interfaces == AdjacencyMap(floorplan).interfaces
         assert soc.adjacency.floorplan is soc.floorplan
         assert soc.test_power_map() == spec.build_soc().test_power_map()

@@ -14,7 +14,6 @@ floats, and the same first overlapping pair.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.floorplan.adjacency import BoundarySegment, Interface
@@ -71,19 +70,3 @@ def reference_overlap_error(blocks: list[Block]) -> str | None:
                     f"(intersection area {overlap:.3e} m^2)"
                 )
     return None
-
-
-def reference_fingerprint(adjacency: ReferenceAdjacency, floorplan: Floorplan) -> str:
-    """The adjacency fingerprint, hashed from the objects one at a time."""
-    digest = hashlib.sha256()
-    for interface in adjacency.interfaces:
-        digest.update(
-            f"{interface.block_a}|{interface.block_b}|{interface.side_of_a}|"
-            f"{interface.length!r};".encode()
-        )
-    for name in floorplan.block_names:
-        for segment in adjacency.boundary[name]:
-            digest.update(
-                f"@{segment.block}|{segment.side}|{segment.length!r};".encode()
-            )
-    return digest.hexdigest()
